@@ -112,24 +112,19 @@ class MemorySystem
     std::uint64_t misses() const { return misses_; }
     std::uint64_t stores() const { return stores_; }
 
-    /** Cycles during which at least one MSHR reject happened. */
+    /**
+     * Issue attempts refused for MSHR capacity (every refused attempt
+     * counts, so one cycle with several blocked loads adds several).
+     */
     std::uint64_t mshrRejects() const { return mshr_rejects_; }
 
     /** Record an issue attempt rejected for MSHR capacity. */
-    void
-    noteReject(Cycle now = 0)
-    {
-        ++mshr_rejects_;
-        if (trace_)
-            trace_->record(now, trace::EventKind::MshrReject,
-                           static_cast<std::uint8_t>(UnitClass::Ldst),
-                           trace::kNoCluster, 0, outstanding());
-    }
+    void noteReject() { ++mshr_rejects_; }
 
     /**
-     * Bulk form of noteReject for fast-forwarded stall spans. Only
-     * valid untraced: the per-cycle MshrReject events a traced run
-     * emits cannot be reproduced here.
+     * Bulk form of noteReject: attempts the SM proved would be refused
+     * without probing them (blocked candidates later in a cycle, and
+     * fast-forwarded stall spans).
      */
     void noteRejects(std::uint64_t count) { mshr_rejects_ += count; }
 

@@ -65,6 +65,18 @@ loopbackAddr(std::uint16_t port)
     return addr;
 }
 
+/**
+ * Send small writes at once. Replies and stream frames are short
+ * lines; with Nagle's algorithm on, a job's last frames could wait for
+ * the peer's delayed ACK (tens of milliseconds) before leaving.
+ */
+void
+setNoDelay(int fd)
+{
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 } // namespace
 
 void
@@ -128,6 +140,7 @@ acceptConn(int listenFd, int timeoutMs, std::string& error)
             error = errnoString("accept");
         return Fd();
     }
+    setNoDelay(conn.get());
     return conn;
 }
 
@@ -148,6 +161,7 @@ connectTcp(std::uint16_t port, int timeoutMs, std::string& error)
     for (;;) {
         if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr)) == 0) {
+            setNoDelay(fd.get());
             error.clear();
             return fd;
         }

@@ -313,7 +313,7 @@ Sm::tryIssueLdst(WarpId warp, const Instruction& instr)
     if (!ldst_.canAccept(now_))
         return false;
     if (!instr.isStore && !mem_.canAccept(instr.mem)) {
-        mem_.noteReject(now_);
+        mem_.noteReject();
         return false;
     }
     Cycle complete = mem_.access(now_, instr.mem, instr.isStore);
@@ -384,6 +384,16 @@ Sm::sampleCounters() const
 }
 
 void
+Sm::traceRejects(Cycle cycle, std::uint64_t attempts)
+{
+    if (trace_ && attempts > 0)
+        trace_->record(cycle, trace::EventKind::MshrReject,
+                       static_cast<std::uint8_t>(UnitClass::Ldst),
+                       trace::kNoCluster, 0,
+                       static_cast<std::uint32_t>(attempts));
+}
+
+void
 Sm::traceMigrate(WarpId warp, WarpLoc to)
 {
     if (trace_)
@@ -429,6 +439,18 @@ Sm::schedulePhase(const SchedView& view)
     unsigned issued = 0;
     std::array<bool, 2> parity_used = {false, false};
     const bool split = config_.issueWidth == 2;
+    // Once an LD/ST attempt fails, the LD/ST slot stays blocked for the
+    // rest of the cycle: a busy port cannot free up, and a full MSHR
+    // pool cannot drain (misses retire in writeback). Later LD/ST
+    // candidates then skip tryIssue. Miss loads are tallied as the
+    // rejects their attempts would have counted — but only while the
+    // port is free, since tryIssueLdst tests the port first. A store or
+    // hit load can still issue past a full MSHR pool and take the port,
+    // so every LD/ST issue re-checks it.
+    enum class LdstSlot : std::uint8_t { Open, MshrFull, PortBusy };
+    LdstSlot ldst_slot = LdstSlot::Open;
+    const std::uint64_t rejects_before = mem_.mshrRejects();
+    std::uint64_t skipped_rejects = 0;
     for (WarpId w : candidates_) {
         if (issued >= config_.issueWidth)
             break;
@@ -436,14 +458,31 @@ Sm::schedulePhase(const SchedView& view)
             continue;
         // Capture the class before tryIssue pops the head.
         const UnitClass uc = warps_.headClass(w);
+        const bool ldst = uc == UnitClass::Ldst;
+        if (ldst && ldst_slot != LdstSlot::Open) {
+            if (ldst_slot == LdstSlot::PortBusy)
+                continue;
+            const Instruction& head = warps_.head(w);
+            if (!head.isStore && !mem_.canAccept(head.mem)) {
+                ++skipped_rejects;
+                continue;
+            }
+        }
         if (tryIssue(w)) {
             ++issued;
             parity_used[w & 1u] = true;
             issued_mask |= warpBit(w);
             issued_this_cycle_.push_back(w);
             scheduler_->notifyIssue(w, uc);
+            if (ldst && !ldst_.canAccept(now_))
+                ldst_slot = LdstSlot::PortBusy;
+        } else if (ldst) {
+            ldst_slot = ldst_.canAccept(now_) ? LdstSlot::MshrFull
+                                              : LdstSlot::PortBusy;
         }
     }
+    mem_.noteRejects(skipped_rejects);
+    traceRejects(now_, mem_.mshrRejects() - rejects_before);
 
     // Least-recently-issued maintenance: issued warps go to the back,
     // both groups keeping their relative order (what a stable partition
@@ -633,11 +672,6 @@ Sm::tryFastForward()
                     return; // the attempt would issue
                 ++reject_attempts;
             }
-            // A traced run emits one MshrReject event per attempt per
-            // cycle, interleaved with scheduler replay events; not
-            // reproducible from here, so step those spans instead.
-            if (trace_ && reject_attempts > 0)
-                return;
         }
     }
 
@@ -666,10 +700,20 @@ Sm::fastForward(Cycle n, const SchedView& view,
 {
     // Replay the span [now_, now_ + n) into every counter a real step
     // would have touched. Component order matches step(): scheduler
-    // beginCycle precedes pg.tick within a cycle (only GATES in its
-    // blackout flip-flop regime emits events here, in cycle order).
+    // beginCycle precedes the cycle's mshr-reject event, and both
+    // precede pg.tick (only GATES in its blackout flip-flop regime
+    // emits scheduler events here; the PG horizon keeps pg.tick
+    // silent). A traced span with rejects interleaves the two per
+    // cycle, exactly as stepping would have recorded them.
     stats_.activeSizeAccum += n * active_.size();
-    scheduler_->fastForward(now_, n, view);
+    if (trace_ && reject_attempts > 0) {
+        for (Cycle i = 0; i < n; ++i) {
+            scheduler_->fastForward(now_ + i, 1, view);
+            traceRejects(now_ + i, reject_attempts);
+        }
+    } else {
+        scheduler_->fastForward(now_, n, view);
+    }
     mem_.noteRejects(n * reject_attempts);
 
     if (trace_ && !ldst_.busy())

@@ -185,6 +185,9 @@ class Sm
      */
     void commitIssue(WarpId warp, UnitClass unit, unsigned cluster);
 
+    /** Record one cycle's MSHR-refused issue attempts (none: no event). */
+    void traceRejects(Cycle cycle, std::uint64_t attempts);
+
     /** Record a warp moving between the two-level scheduler's sets. */
     void traceMigrate(WarpId warp, WarpLoc to);
 

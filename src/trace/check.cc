@@ -107,6 +107,8 @@ InvariantChecker::feed(SmId sm, const Event& e)
 {
     ++events_;
     ++by_kind_[static_cast<std::size_t>(e.kind)];
+    if (e.kind == EventKind::MshrReject)
+        reject_attempts_ += e.value;
     if (truncated(sm))
         return;
 
@@ -117,6 +119,7 @@ InvariantChecker::feed(SmId sm, const Event& e)
       case EventKind::Wakeup: checkWakeup(sm, e); break;
       case EventKind::WakeupDone: checkWakeupDone(sm, e); break;
       case EventKind::EpochUpdate: checkEpochUpdate(sm, e); break;
+      case EventKind::MshrReject: checkMshrReject(sm, e); break;
       default:
         break;
     }
@@ -330,6 +333,21 @@ InvariantChecker::checkEpochUpdate(SmId sm, const Event& e)
         addViolation(sm, e.cycle, type == 0 ? "INT" : "FP", os.str());
         r.value = e.value; // resynchronise to avoid cascading reports
     }
+}
+
+void
+InvariantChecker::checkMshrReject(SmId sm, const Event& e)
+{
+    if (meta_.version < 2)
+        return; // version 1 recorded one event per refused attempt
+    if (e.value == 0)
+        addViolation(sm, e.cycle, "LDST", "mshr-reject with zero attempts");
+    if (sm >= last_reject_.size())
+        last_reject_.resize(sm + 1, kNeverCycle);
+    if (last_reject_[sm] == e.cycle)
+        addViolation(sm, e.cycle, "LDST",
+                     "second mshr-reject event in one cycle");
+    last_reject_[sm] = e.cycle;
 }
 
 std::vector<Violation>

@@ -16,7 +16,8 @@
  *      regulator from the per-epoch critical-wakeup counts).
  *
  * Plus stream-consistency checks (gate while gated, wakeup without a
- * gate, break-even expiry at the wrong cycle) that catch corrupted or
+ * gate, break-even expiry at the wrong cycle, more than one mshr-reject
+ * per cycle or one with zero attempts) that catch corrupted or
  * reordered traces. The checker is sink-agnostic: it consumes decoded
  * Events, either straight from a Collector or parsed back from a JSONL
  * file by tools/wgtrace.
@@ -76,6 +77,12 @@ class InvariantChecker
         return by_kind_[static_cast<std::size_t>(kind)];
     }
 
+    /**
+     * MSHR-refused issue attempts summed over every mshr-reject event
+     * (feed version-1 events with value 1: one attempt per event).
+     */
+    std::uint64_t mshrRejectAttempts() const { return reject_attempts_; }
+
     const Meta& meta() const { return meta_; }
 
   private:
@@ -114,6 +121,7 @@ class InvariantChecker
     void checkWakeup(SmId sm, const Event& e);
     void checkWakeupDone(SmId sm, const Event& e);
     void checkEpochUpdate(SmId sm, const Event& e);
+    void checkMshrReject(SmId sm, const Event& e);
 
     Meta meta_;
     bool blackout_ = false;     ///< policy forbids pre-BET wakeups
@@ -122,10 +130,12 @@ class InvariantChecker
     std::vector<std::array<Lane, kLanesPerSm>> lanes_;      // per SM
     std::vector<std::array<Regulator, 2>> regulators_;      // per SM
     std::vector<bool> truncated_;                           // per SM
+    std::vector<Cycle> last_reject_;  // per SM; kNeverCycle = none yet
 
     std::vector<Violation> violations_;
     std::vector<std::string> warnings_;
     std::uint64_t events_ = 0;
+    std::uint64_t reject_attempts_ = 0;
     std::array<std::uint64_t, kNumEventKinds> by_kind_ = {};
 };
 

@@ -39,7 +39,9 @@ enum class EventKind : std::uint8_t {
     WarpMigrate,    ///< warp moved sets; arg = new WarpLoc, value = warp
     MshrFill,       ///< miss allocated an MSHR; value = outstanding now
     MshrDrain,      ///< miss retired its MSHR; value = outstanding now
-    MshrReject,     ///< LD/ST issue refused: MSHR pool full
+    MshrReject,     ///< LD/ST issues refused this cycle: MSHR pool
+                    ///< full; at most one per cycle, recorded after
+                    ///< the cycle's issues, value = refused attempts
 };
 
 /** Number of distinct EventKind values. */
@@ -87,6 +89,14 @@ bool parseGateReason(const char* name, GateReason& out);
 bool parseWakeReason(const char* name, WakeReason& out);
 
 /**
+ * Trace schema version the sinks write. Version 2 folds a cycle's
+ * MSHR-refused issue attempts into one mshr-reject event carrying the
+ * count (`attempts`); version 1 recorded one event per attempt, with
+ * the outstanding-miss count (always the MSHR limit) as payload.
+ */
+inline constexpr std::uint32_t kSchemaVersion = 2;
+
+/**
  * Trace-wide metadata every sink emits ahead of the event stream and
  * the invariant checker needs to replay a run: the gating policy and
  * its parameters. Plain strings/integers so the trace subsystem stays
@@ -94,7 +104,7 @@ bool parseWakeReason(const char* name, WakeReason& out);
  */
 struct Meta
 {
-    std::uint32_t version = 1;  ///< schema version
+    std::uint32_t version = kSchemaVersion; ///< schema version
     std::string policy;         ///< pgPolicyName of the INT/FP domains
     std::string scheduler;      ///< schedulerPolicyName
     std::uint32_t numSms = 0;

@@ -1,9 +1,9 @@
 #include "sink.hh"
 
 #include <array>
+#include <charconv>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
 #include "arch/instr.hh"
 #include "common/logging.hh"
@@ -30,65 +30,136 @@ unitName(std::uint8_t unit)
     return unitClassName(static_cast<UnitClass>(unit));
 }
 
+/** Flush the sink buffer to the stream past this many bytes. */
+constexpr std::size_t kFlushBytes = 1u << 16;
+
+/** Append the decimal spelling of @p v (what ostream << prints). */
+template <typename T>
+void
+appendNum(std::string& out, T v)
+{
+    char buf[24];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out.append(buf, res.ptr);
+}
+
+/** Append @p key (quoted, with its comma and colon) and number @p v. */
+template <typename T>
+void
+appendField(std::string& out, const char* key, T v)
+{
+    out += key;
+    appendNum(out, v);
+}
+
 /** Append `,"key":value` pairs specific to the event kind. */
 void
-appendArgs(std::ostream& os, const Event& e)
+appendArgs(std::string& out, const Event& e)
 {
     switch (e.kind) {
       case EventKind::Issue:
       case EventKind::GreedySwitch:
-        os << ",\"warp\":" << e.value;
+        appendField(out, ",\"warp\":", e.value);
         break;
       case EventKind::UnitBusy:
-        os << ",\"idleRun\":" << e.value;
+        appendField(out, ",\"idleRun\":", e.value);
         break;
       case EventKind::Gate:
-        os << ",\"reason\":\""
-           << gateReasonName(static_cast<GateReason>(e.arg))
-           << "\",\"actv\":" << e.value;
+        out += ",\"reason\":\"";
+        out += gateReasonName(static_cast<GateReason>(e.arg));
+        appendField(out, "\",\"actv\":", e.value);
         break;
       case EventKind::BetExpire:
-        os << ",\"held\":" << e.value;
+        appendField(out, ",\"held\":", e.value);
         break;
       case EventKind::Wakeup:
-        os << ",\"reason\":\""
-           << wakeReasonName(static_cast<WakeReason>(e.arg)) << "\"";
+        out += ",\"reason\":\"";
+        out += wakeReasonName(static_cast<WakeReason>(e.arg));
+        out += '"';
         break;
       case EventKind::EpochUpdate:
-        os << ",\"criticals\":" << static_cast<unsigned>(e.arg)
-           << ",\"window\":" << e.value;
+        appendField(out, ",\"criticals\":", static_cast<unsigned>(e.arg));
+        appendField(out, ",\"window\":", e.value);
         break;
       case EventKind::WarpMigrate:
-        os << ",\"loc\":\"" << locName(e.arg) << "\",\"warp\":" << e.value;
+        out += ",\"loc\":\"";
+        out += locName(e.arg);
+        appendField(out, "\",\"warp\":", e.value);
         break;
       case EventKind::MshrFill:
       case EventKind::MshrDrain:
-        os << ",\"outstanding\":" << e.value;
+        appendField(out, ",\"outstanding\":", e.value);
+        break;
+      case EventKind::MshrReject:
+        appendField(out, ",\"attempts\":", e.value);
         break;
       case EventKind::UnitIdle:
       case EventKind::WakeupDenied:
       case EventKind::WakeupDone:
       case EventKind::PrioritySwitch:
-      case EventKind::MshrReject:
         break;
     }
 }
 
+/** Append the JSONL object of one event (no trailing newline). */
 void
-appendMeta(std::ostream& os, const Meta& m)
+appendEventJson(std::string& out, SmId sm, const Event& e)
 {
-    os << "{\"meta\":{\"version\":" << m.version << ",\"policy\":\""
-       << m.policy << "\",\"scheduler\":\"" << m.scheduler
-       << "\",\"sms\":" << m.numSms << ",\"idleDetect\":" << m.idleDetect
-       << ",\"breakEven\":" << m.breakEven
-       << ",\"wakeupDelay\":" << m.wakeupDelay
-       << ",\"adaptive\":" << (m.adaptive ? "true" : "false")
-       << ",\"idleDetectMin\":" << m.idleDetectMin
-       << ",\"idleDetectMax\":" << m.idleDetectMax
-       << ",\"epochLength\":" << m.epochLength
-       << ",\"criticalThreshold\":" << m.criticalThreshold
-       << ",\"decrementEpochs\":" << m.decrementEpochs
-       << ",\"gateSfu\":" << (m.gateSfu ? "true" : "false") << "}}";
+    appendField(out, "{\"sm\":", sm);
+    appendField(out, ",\"cycle\":", e.cycle);
+    out += ",\"kind\":\"";
+    out += eventKindName(e.kind);
+    out += '"';
+    if (const char* u = unitName(e.unit)) {
+        out += ",\"unit\":\"";
+        out += u;
+        out += '"';
+        if (e.cluster != kNoCluster)
+            appendField(out, ",\"cluster\":",
+                        static_cast<unsigned>(e.cluster));
+    }
+    appendArgs(out, e);
+    out += '}';
+}
+
+void
+appendMeta(std::string& out, const Meta& m)
+{
+    auto flag = [&out](const char* key, bool v) {
+        out += key;
+        out += v ? "true" : "false";
+    };
+    appendField(out, "{\"meta\":{\"version\":", m.version);
+    out += ",\"policy\":\"";
+    out += m.policy;
+    out += "\",\"scheduler\":\"";
+    out += m.scheduler;
+    appendField(out, "\",\"sms\":", m.numSms);
+    appendField(out, ",\"idleDetect\":", m.idleDetect);
+    appendField(out, ",\"breakEven\":", m.breakEven);
+    appendField(out, ",\"wakeupDelay\":", m.wakeupDelay);
+    flag(",\"adaptive\":", m.adaptive);
+    appendField(out, ",\"idleDetectMin\":", m.idleDetectMin);
+    appendField(out, ",\"idleDetectMax\":", m.idleDetectMax);
+    appendField(out, ",\"epochLength\":", m.epochLength);
+    appendField(out, ",\"criticalThreshold\":", m.criticalThreshold);
+    appendField(out, ",\"decrementEpochs\":", m.decrementEpochs);
+    flag(",\"gateSfu\":", m.gateSfu);
+    out += "}}";
+}
+
+/**
+ * Hand @p buf to @p os once it holds kFlushBytes (always when @p force):
+ * the sinks build their output in one reused string instead of a stream
+ * per event.
+ */
+void
+drain(std::ostream& os, std::string& buf, bool force = false)
+{
+    if (force || buf.size() >= kFlushBytes) {
+        os.write(buf.data(), static_cast<std::streamsize>(buf.size()));
+        buf.clear();
+    }
 }
 
 /** chrome://tracing tid for an event (one lane per pipeline). */
@@ -152,76 +223,83 @@ parseSinkFormat(const std::string& name, SinkFormat& out)
 std::string
 eventToJson(SmId sm, const Event& e)
 {
-    std::ostringstream os;
-    os << "{\"sm\":" << sm << ",\"cycle\":" << e.cycle << ",\"kind\":\""
-       << eventKindName(e.kind) << "\"";
-    if (const char* u = unitName(e.unit)) {
-        os << ",\"unit\":\"" << u << "\"";
-        if (e.cluster != kNoCluster)
-            os << ",\"cluster\":" << static_cast<unsigned>(e.cluster);
-    }
-    appendArgs(os, e);
-    os << "}";
-    return os.str();
+    std::string out;
+    appendEventJson(out, sm, e);
+    return out;
 }
 
 void
 writeJsonl(std::ostream& os, const Collector& collector)
 {
-    appendMeta(os, collector.meta);
-    os << "\n";
+    std::string buf;
+    buf.reserve(kFlushBytes + 256);
+    appendMeta(buf, collector.meta);
+    buf += '\n';
     for (SmId s = 0; s < collector.numSms(); ++s) {
         const Recorder* r = collector.recorder(s);
         if (!r)
             continue;
-        if (r->overwritten() > 0)
-            os << "{\"sm\":" << s << ",\"truncated\":" << r->overwritten()
-               << "}\n";
-        r->forEach([&os, s](const Event& e) {
-            os << eventToJson(s, e) << "\n";
+        if (r->overwritten() > 0) {
+            appendField(buf, "{\"sm\":", s);
+            appendField(buf, ",\"truncated\":", r->overwritten());
+            buf += "}\n";
+        }
+        r->forEach([&](const Event& e) {
+            appendEventJson(buf, s, e);
+            buf += '\n';
+            drain(os, buf);
         });
     }
+    drain(os, buf, true);
 }
 
 void
 writeChromeTrace(std::ostream& os, const Collector& collector)
 {
-    os << "{\"traceEvents\":[";
+    std::string buf;
+    buf.reserve(kFlushBytes + 512);
+    buf += "{\"traceEvents\":[";
     bool first = true;
-    auto emit = [&os, &first](const std::string& obj) {
+    // Start the next array element: a separator after the first.
+    auto next = [&buf, &first] {
         if (!first)
-            os << ",\n";
+            buf += ",\n";
         first = false;
-        os << obj;
     };
 
     for (SmId s = 0; s < collector.numSms(); ++s) {
         const Recorder* r = collector.recorder(s);
         if (!r)
             continue;
-        {
-            std::ostringstream m;
-            m << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << s
-              << ",\"args\":{\"name\":\"SM " << s << "\"}}";
-            emit(m.str());
-        }
+        next();
+        appendField(buf, "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":",
+                    s);
+        appendField(buf, ",\"args\":{\"name\":\"SM ", s);
+        buf += "\"}}";
         for (unsigned tid : {0u, 1u, 2u, 3u, 4u, 5u, 8u}) {
-            std::ostringstream m;
-            m << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << s
-              << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-              << chromeTidName(tid) << "\"}}";
-            emit(m.str());
+            next();
+            appendField(buf,
+                        "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", s);
+            appendField(buf, ",\"tid\":", tid);
+            buf += ",\"args\":{\"name\":\"";
+            buf += chromeTidName(tid);
+            buf += "\"}}";
         }
         r->forEach([&](const Event& e) {
-            std::ostringstream ev;
-            ev << "{\"name\":\"" << eventKindName(e.kind)
-               << "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << e.cycle
-               << ",\"pid\":" << s << ",\"tid\":" << chromeTid(e)
-               << ",\"args\":{\"detail\":" << eventToJson(s, e) << "}}";
-            emit(ev.str());
+            next();
+            buf += "{\"name\":\"";
+            buf += eventKindName(e.kind);
+            appendField(buf, "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":", e.cycle);
+            appendField(buf, ",\"pid\":", s);
+            appendField(buf, ",\"tid\":", chromeTid(e));
+            buf += ",\"args\":{\"detail\":";
+            appendEventJson(buf, s, e);
+            buf += "}}";
+            drain(os, buf);
         });
     }
-    os << "],\"displayTimeUnit\":\"ns\"}\n";
+    buf += "],\"displayTimeUnit\":\"ns\"}\n";
+    drain(os, buf, true);
 }
 
 void
@@ -287,7 +365,7 @@ writeEpochCsv(std::ostream& os, const Collector& collector)
                 break;
               case EventKind::WakeupDenied: ++row.denied; break;
               case EventKind::MshrFill: ++row.mshrFills; break;
-              case EventKind::MshrReject: ++row.mshrRejects; break;
+              case EventKind::MshrReject: row.mshrRejects += e.value; break;
               case EventKind::EpochUpdate:
                 if (e.unit == static_cast<std::uint8_t>(UnitClass::Int))
                     row.windowInt = e.value;

@@ -172,6 +172,34 @@ TEST(FastForward, EngagesOnMemoryBoundWorkload)
     EXPECT_GE(sm.ffSkippedCycles(), sm.ffSpans());
 }
 
+TEST(FastForward, EngagesWhenTraced)
+{
+    // A trace records one mshr-reject per stalled cycle, which the
+    // replay reproduces, so attaching a recorder must not switch the
+    // engine off over MSHR-bound stall spans. The traced run keeps the
+    // LD/ST occupancy retires as horizon events (its UnitIdle/UnitBusy
+    // records stay cycle-exact), so it skips slightly less.
+    GpuConfig config = ffConfig(Technique::WarpedGates, true, 1);
+    ProgramGenerator gen(config.seed);
+    const auto programs = gen.generateSm(findBenchmark("bfs"), 0);
+    const std::uint64_t seed = Gpu::smSeed(config.seed, 0);
+
+    Sm untraced(config.sm, programs, seed);
+    untraced.run();
+    trace::Recorder rec(0, std::size_t{1} << 20);
+    Sm traced(config.sm, programs, seed, &rec);
+    traced.run();
+
+    EXPECT_EQ(traced.stats().cycles, untraced.stats().cycles);
+    EXPECT_EQ(traced.stats().mshrRejects, untraced.stats().mshrRejects);
+    EXPECT_EQ(rec.overwritten(), 0u);
+    ASSERT_GT(untraced.ffSkippedCycles(), 0u);
+    EXPECT_GE(static_cast<double>(traced.ffSkippedCycles()),
+              0.9 * static_cast<double>(untraced.ffSkippedCycles()))
+        << "traced " << traced.ffSkippedCycles() << " vs untraced "
+        << untraced.ffSkippedCycles();
+}
+
 TEST(FastForward, DisabledNeverSkips)
 {
     GpuConfig config = ffConfig(Technique::WarpedGates, false, 1);

@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include "core/experiment.hh"
 #include "metrics/registry.hh"
 #include "report/export.hh"
@@ -69,6 +73,27 @@ class ServeTest : public ::testing::Test
     std::thread serve_thread_;
     serve::Client client_;
 };
+
+TEST(ServeNet, BothEndsSetTcpNoDelay)
+{
+    // Short reply lines must leave at once, not wait on Nagle's
+    // algorithm for the peer's delayed ACK.
+    std::string error;
+    std::uint16_t port = 0;
+    serve::Fd listener = serve::listenTcp(0, port, error);
+    ASSERT_TRUE(listener.valid()) << error;
+    serve::Fd client = serve::connectTcp(port, 2000, error);
+    ASSERT_TRUE(client.valid()) << error;
+    serve::Fd server = serve::acceptConn(listener.get(), 2000, error);
+    ASSERT_TRUE(server.valid()) << error;
+    for (int fd : {client.get(), server.get()}) {
+        int value = 0;
+        socklen_t len = sizeof(value);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len),
+                  0);
+        EXPECT_NE(value, 0);
+    }
+}
 
 TEST_F(ServeTest, SubmitRunsAndResultsMatchOfflineExactly)
 {

@@ -113,6 +113,55 @@ TEST(Sm, MissLoadsDemoteWarpsToPending)
     EXPECT_TRUE(s.completed);
 }
 
+TEST(Sm, BlockedLdstSkipKeepsRejectTally)
+{
+    // One MSHR. Cycle 0: w0's miss takes it (and the LD/ST port).
+    // Cycle 1, candidates in LRI order w1..w5: w1's miss is refused
+    // for MSHR capacity (1 reject); w2's store still issues and takes
+    // the port; w3 and w5 (the other parity) then fail on the port and
+    // count no reject; w4 shares the store's parity and is never
+    // tried. Cycle 2: the port is free again and all four remaining
+    // misses are refused. These are the stepped counts of trying every
+    // candidate; the per-cycle LD/ST skip must reproduce them.
+    SmConfig cfg = baseConfig();
+    cfg.mem.mshrLimit = 1;
+    std::vector<Program> programs;
+    programs.push_back(Program({makeLoad(0, MemClass::Miss)}));
+    programs.push_back(Program({makeLoad(0, MemClass::Miss)}));
+    programs.push_back(Program({makeStore(MemClass::Hit, 1)}));
+    for (int i = 0; i < 3; ++i)
+        programs.push_back(Program({makeLoad(0, MemClass::Miss)}));
+
+    trace::Recorder rec(0, 1024);
+    Sm sm(cfg, programs, 1, &rec);
+    const std::uint64_t expected[] = {0, 1, 5, 9};
+    for (std::uint64_t want : expected) {
+        sm.step();
+        EXPECT_EQ(sm.memory().mshrRejects(), want)
+            << "after cycle " << sm.now() - 1;
+    }
+    EXPECT_EQ(sm.stats().issuedTotal, 2u);
+
+    // One mshr-reject event per rejecting cycle, carrying its count.
+    std::vector<std::pair<Cycle, std::uint32_t>> rejects;
+    rec.forEach([&](const trace::Event& e) {
+        if (e.kind == trace::EventKind::MshrReject)
+            rejects.emplace_back(e.cycle, e.value);
+    });
+    const std::vector<std::pair<Cycle, std::uint32_t>> want_events = {
+        {1, 1}, {2, 4}, {3, 4}};
+    EXPECT_EQ(rejects, want_events);
+
+    // The whole run, stepped and fast-forwarded, keeps the tally
+    // (4072 is what trying every candidate counts for this workload).
+    Sm stepped(cfg, programs, 1);
+    while (!stepped.step()) {
+    }
+    Sm run(cfg, programs, 1);
+    EXPECT_EQ(run.run().mshrRejects, stepped.stats().mshrRejects);
+    EXPECT_EQ(stepped.stats().mshrRejects, 4072u);
+}
+
 TEST(Sm, DeterministicAcrossRuns)
 {
     auto programs = uniformMixWarps(8, 300, 0.3, 0.25, 0.5);

@@ -260,6 +260,46 @@ TEST(Checker, TruncatedSmIsSuppressedWithWarning)
     EXPECT_EQ(checker.violations().size(), 1u);
 }
 
+TEST(Checker, OneMshrRejectPerCycleWithAttempts)
+{
+    constexpr std::uint8_t kLdst = 3;
+    InvariantChecker checker(blackoutMeta());
+    checker.feed(0, ev(50, EventKind::MshrReject, kLdst,
+                       trace::kNoCluster, 0, 3));
+    checker.feed(0, ev(51, EventKind::MshrReject, kLdst,
+                       trace::kNoCluster, 0, 2));
+    checker.feed(1, ev(51, EventKind::MshrReject, kLdst,
+                       trace::kNoCluster, 0, 1)); // other SM: fine
+    EXPECT_TRUE(checker.violations().empty());
+    EXPECT_EQ(checker.mshrRejectAttempts(), 6u);
+
+    checker.feed(0, ev(51, EventKind::MshrReject, kLdst,
+                       trace::kNoCluster, 0, 1));
+    checker.feed(0, ev(52, EventKind::MshrReject, kLdst,
+                       trace::kNoCluster, 0, 0));
+    ASSERT_EQ(checker.violations().size(), 2u);
+    EXPECT_EQ(checker.violations()[0].cycle, 51u);
+    EXPECT_NE(checker.violations()[0].message.find("one cycle"),
+              std::string::npos);
+    EXPECT_EQ(checker.violations()[1].cycle, 52u);
+    EXPECT_NE(checker.violations()[1].message.find("zero attempts"),
+              std::string::npos);
+}
+
+TEST(Checker, VersionOneTracesRejectPerAttempt)
+{
+    // Schema version 1 recorded one mshr-reject per refused attempt,
+    // several per cycle; that stream is not a violation.
+    trace::Meta meta = blackoutMeta();
+    meta.version = 1;
+    InvariantChecker checker(meta);
+    for (int i = 0; i < 3; ++i)
+        checker.feed(0, ev(50, EventKind::MshrReject, 3, trace::kNoCluster,
+                           0, 1));
+    EXPECT_TRUE(checker.violations().empty());
+    EXPECT_EQ(checker.mshrRejectAttempts(), 3u);
+}
+
 // ---- whole-preset replay: every technique's real trace is clean ----
 
 BenchmarkProfile

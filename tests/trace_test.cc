@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/threadpool.hh"
 #include "core/warped_gates.hh"
+#include "metrics/registry.hh"
+#include "metrics/sampler.hh"
 #include "sim/gpu.hh"
+#include "trace/check.hh"
 #include "trace/recorder.hh"
 #include "trace/sink.hh"
 
@@ -172,6 +177,86 @@ TEST(TraceSm, NullRecorderLeavesResultsUntouched)
     EXPECT_EQ(a.issuedTotal, b.issuedTotal);
     for (std::size_t c = 0; c < kNumUnitClasses; ++c)
         EXPECT_EQ(a.issuedByClass[c], b.issuedByClass[c]);
+}
+
+TEST(TraceSm, RejectAttemptsSumToMshrRejects)
+{
+    // bfs is the suite's memory-bound profile: MSHR-full stalls are
+    // most of its cycles, and fast-forward replays most of those.
+    ExperimentOptions opts;
+    opts.numSms = 2;
+    GpuConfig config = makeConfig(Technique::WarpedGates, opts);
+    BenchmarkProfile p = findBenchmark("bfs");
+    p.kernelLength = 800;
+
+    trace::Collector traces;
+    metrics::Collector mets;
+    SimResult r = Gpu(config).run(p, nullptr, &traces, &mets);
+    ASSERT_EQ(traces.totalOverwritten(), 0u);
+    ASSERT_GT(r.aggregate.mshrRejects, 0u);
+
+    // One event per rejecting (SM, cycle), attempts >= 1, and the
+    // attempts add up to the simulator's own counter exactly.
+    std::uint64_t attempts = 0;
+    for (SmId s = 0; s < traces.numSms(); ++s) {
+        Cycle last = kNeverCycle;
+        traces.recorder(s)->forEach([&](const Event& e) {
+            if (e.kind != EventKind::MshrReject)
+                return;
+            EXPECT_GE(e.value, 1u);
+            EXPECT_NE(e.cycle, last) << "two mshr-reject events in a cycle";
+            last = e.cycle;
+            attempts += e.value;
+        });
+    }
+    EXPECT_EQ(attempts, r.aggregate.mshrRejects);
+    EXPECT_EQ(attempts, static_cast<std::uint64_t>(
+                            metrics::toStatSet(r).get("gpu.mem.mshrRejects")));
+    EXPECT_TRUE(trace::checkCollector(traces).empty());
+
+    // The epoch CSV's mshr_rejects column is each epoch's share of the
+    // same counter: equal to the metrics sampler's delta.
+    std::map<std::pair<SmId, std::uint64_t>, std::uint64_t> sampled;
+    for (SmId s = 0; s < mets.numSms(); ++s)
+        for (const metrics::EpochSample& e : mets.sampler(s)->samples())
+            if (e.delta.mshrRejects > 0)
+                sampled[{s, e.epoch}] = e.delta.mshrRejects;
+    std::ostringstream csv;
+    trace::writeEpochCsv(csv, traces);
+    std::istringstream in(csv.str());
+    std::string line;
+    std::getline(in, line); // header
+    std::map<std::pair<SmId, std::uint64_t>, std::uint64_t> exported;
+    while (std::getline(in, line)) {
+        std::vector<std::string> cols;
+        std::istringstream row(line);
+        std::string col;
+        while (std::getline(row, col, ','))
+            cols.push_back(col);
+        ASSERT_GE(cols.size(), 14u) << line;
+        // Columns: sm, epoch, start_cycle, 4 x issues, gates,
+        // bet_expiries, wakeups, critical_wakeups, wakeups_denied,
+        // mshr_fills, mshr_rejects, ...
+        const std::uint64_t rejects = std::stoull(cols[13]);
+        if (rejects > 0)
+            exported[{static_cast<SmId>(std::stoul(cols[0])),
+                      std::stoull(cols[1])}] = rejects;
+    }
+    EXPECT_FALSE(sampled.empty());
+    EXPECT_EQ(exported, sampled);
+}
+
+TEST(TraceSm, DefaultHotspotTraceDoesNotWrap)
+{
+    // The paper-default configuration (six SMs) at the default ring
+    // capacity keeps the whole run: no SM's stream is truncated, so
+    // every invariant check covers every cycle.
+    GpuConfig config = makeConfig(Technique::WarpedGates);
+    trace::Collector traces;
+    Gpu(config).run(findBenchmark("hotspot"), &ThreadPool::global(),
+                    &traces);
+    EXPECT_EQ(traces.totalOverwritten(), 0u);
+    EXPECT_GT(traces.totalEvents(), 0u);
 }
 
 // ---- sinks ----

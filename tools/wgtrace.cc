@@ -12,8 +12,12 @@
  *     idle-detect window follows its fast-increase/slow-decrease
  *     schedule inside [min, max].
  *
+ * Reads schema version 2 (one mshr-reject per cycle carrying its
+ * `attempts`) and version 1 (one mshr-reject line per refused attempt);
+ * a newer version is refused rather than misread.
+ *
  * Exit codes: 0 = clean, 1 = invariant violations found, 2 = usage or
- * parse errors.
+ * parse errors (including an unknown future schema version).
  *
  * Examples:
  *   wgsim --bench hotspot --technique WarpedGates --trace=t.jsonl
@@ -141,7 +145,8 @@ parseMeta(const std::string& line, trace::Meta& meta)
  * malformed line (diagnostic printed by the caller).
  */
 bool
-parseEventLine(const std::string& line, SmId& sm, trace::Event& e)
+parseEventLine(const std::string& line, std::uint32_t version, SmId& sm,
+               trace::Event& e)
 {
     std::uint64_t v = 0;
     std::string s;
@@ -216,6 +221,15 @@ parseEventLine(const std::string& line, SmId& sm, trace::Event& e)
         if (findU64(line, "outstanding", v))
             e.value = static_cast<std::uint32_t>(v);
         break;
+      case trace::EventKind::MshrReject:
+        if (version < 2) {
+            e.value = 1; // version 1: one line per refused attempt
+            break;
+        }
+        if (!findU64(line, "attempts", v))
+            return false;
+        e.value = static_cast<std::uint32_t>(v);
+        break;
       default:
         break;
     }
@@ -266,6 +280,13 @@ main(int argc, char** argv)
                      path.c_str());
         return 2;
     }
+    if (meta.version < 1 || meta.version > trace::kSchemaVersion) {
+        std::fprintf(stderr,
+                     "wgtrace: '%s' has trace schema version %u; this "
+                     "wgtrace reads versions 1-%u\n",
+                     path.c_str(), meta.version, trace::kSchemaVersion);
+        return 2;
+    }
 
     trace::InvariantChecker checker(meta);
     std::uint64_t line_no = 1;
@@ -283,7 +304,7 @@ main(int argc, char** argv)
             continue;
         }
         trace::Event e;
-        if (!parseEventLine(line, sm, e)) {
+        if (!parseEventLine(line, meta.version, sm, e)) {
             if (++bad_lines <= 5)
                 std::fprintf(stderr, "wgtrace: %s:%llu: malformed line\n",
                              path.c_str(),
@@ -305,9 +326,13 @@ main(int argc, char** argv)
         for (std::size_t k = 0; k < trace::kNumEventKinds; ++k) {
             auto kind = static_cast<trace::EventKind>(k);
             std::uint64_t n = checker.eventCount(kind);
-            if (n > 0)
-                std::cout << "  " << trace::eventKindName(kind) << ": "
-                          << n << "\n";
+            if (n == 0)
+                continue;
+            std::cout << "  " << trace::eventKindName(kind) << ": " << n;
+            if (kind == trace::EventKind::MshrReject)
+                std::cout << " (" << checker.mshrRejectAttempts()
+                          << " attempts)";
+            std::cout << "\n";
         }
         for (const std::string& w : checker.warnings())
             std::cout << "  warning: " << w << "\n";
