@@ -81,6 +81,8 @@ class Histogram
      */
     double fractionAbove(std::uint64_t bound) const;
 
+    bool operator==(const Histogram&) const = default;
+
   private:
     std::uint64_t max_bin_;
     std::vector<std::uint64_t> bins_;

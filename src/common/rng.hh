@@ -11,6 +11,8 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
+
 namespace wg {
 
 /**
@@ -40,7 +42,19 @@ std::uint64_t streamSeed(std::uint64_t seed, std::uint64_t stream);
 struct RngState {
     std::uint64_t state = 0; ///< PCG LCG accumulator
     std::uint64_t inc = 1;   ///< stream increment (always odd)
+
+    bool operator==(const RngState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("state", &RngState::state);
+        v("inc", &RngState::inc);
+    }
 };
+
+static_assert(visitsEveryMember<RngState>());
 
 /**
  * PCG32 (pcg_xsh_rr_64_32) generator. Small state, excellent statistical

@@ -1,5 +1,6 @@
 #include "threadpool.hh"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "logging.hh"
@@ -11,6 +12,9 @@ namespace {
 /** Identity of the pool worker running on this thread, if any. */
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local unsigned tls_index = 0;
+/** Time of the tasks run so far nested inside this thread's current
+ *  task (helpWhile), which that task must not count again. */
+thread_local std::uint64_t tls_nested_ns = 0;
 
 } // namespace
 
@@ -105,25 +109,32 @@ ThreadPool::tryRunOne()
             return false;
         ++active_;
     }
-    runTask(task);
-    finishTask();
+    task();
     return true;
 }
 
-void
-ThreadPool::runTask(std::function<void()>& task)
+// Pool self-profiling only (PoolStats.busySeconds); never feeds
+// simulation results. A task that waits on children runs them nested
+// on this thread (helpWhile); their time is already counted once by
+// their own scope, so the outer task adds only the rest.
+ThreadPool::TaskScope::TaskScope(ThreadPool& pool)
+    : pool_(pool), outer_nested_ns_(tls_nested_ns),
+      t0_(std::chrono::steady_clock::now()) // wglint:allow(D1)
 {
-    // Pool self-profiling only (PoolStats.busySeconds); never feeds
-    // simulation results. wglint:allow(D1)
-    auto t0 = std::chrono::steady_clock::now();
-    task();
+    tls_nested_ns = 0;
+}
+
+ThreadPool::TaskScope::~TaskScope()
+{
     auto t1 = std::chrono::steady_clock::now(); // wglint:allow(D1)
-    auto ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count();
-    busy_ns_.fetch_add(static_cast<std::uint64_t>(ns),
-                       std::memory_order_relaxed);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    const auto ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0_)
+            .count());
+    pool_.busy_ns_.fetch_add(ns - std::min(tls_nested_ns, ns),
+                             std::memory_order_relaxed);
+    tls_nested_ns = outer_nested_ns_ + ns;
+    pool_.tasks_executed_.fetch_add(1, std::memory_order_relaxed);
+    pool_.finishTask();
 }
 
 void
@@ -220,8 +231,7 @@ ThreadPool::workerLoop(unsigned index)
                 continue;
             ++active_;
         }
-        runTask(task);
-        finishTask();
+        task();
     }
 }
 

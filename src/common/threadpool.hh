@@ -74,8 +74,14 @@ class ThreadPool
     auto submit(F&& fn) -> std::future<std::invoke_result_t<F>>
     {
         using R = std::invoke_result_t<F>;
+        // The scope retires the task (stats, active count) as fn's
+        // frame unwinds, before packaged_task stores the result, so a
+        // caller whose wait() has returned sees the task counted.
         auto task = std::make_shared<std::packaged_task<R()>>(
-            std::forward<F>(fn));
+            [this, fn = std::forward<F>(fn)]() mutable -> R {
+                TaskScope scope(*this);
+                return fn();
+            });
         std::future<R> fut = task->get_future();
         enqueue([task]() { (*task)(); });
         return fut;
@@ -141,9 +147,12 @@ class ThreadPool
     bool draining() const;
 
     /**
-     * Tasks executed and summed busy time since construction. The
-     * counters are sampled independently (not a consistent snapshot);
-     * utilization derived from them is a profiling estimate. Summed
+     * Tasks executed and summed busy time since construction. A task
+     * is counted before its future turns ready. The counters are
+     * sampled independently (not a consistent snapshot);
+     * utilization derived from them is a profiling estimate. Busy time
+     * counts every moment once: a task that runs its children nested
+     * while it waits (wait()) is charged only for the rest. Summed
      * busy time can exceed wall-clock time on a multi-worker pool —
      * utilization = busySeconds / (elapsed * size()). queueDepth,
      * active, steals, and draining are a point-in-time view taken
@@ -152,8 +161,27 @@ class ThreadPool
     PoolStats stats() const;
 
   private:
+    /**
+     * Times one task and retires it when destroyed: adds its busy time
+     * (less that of tasks run nested inside it on this thread),
+     * counts it executed, and decrements the active count.
+     */
+    class TaskScope
+    {
+      public:
+        explicit TaskScope(ThreadPool& pool);
+        ~TaskScope();
+        TaskScope(const TaskScope&) = delete;
+        TaskScope& operator=(const TaskScope&) = delete;
+
+      private:
+        ThreadPool& pool_;
+        std::uint64_t outer_nested_ns_;
+        // Profiling start time only. wglint:allow(D1)
+        std::chrono::steady_clock::time_point t0_;
+    };
+
     void enqueue(std::function<void()> fn);
-    void runTask(std::function<void()>& task);
     void finishTask();
     void workerLoop(unsigned index);
     bool popTask(unsigned preferred, std::function<void()>& out)

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace wg {
@@ -44,7 +45,21 @@ struct Completion
     WarpId warp;        ///< producing warp
     RegId dest;         ///< destination register (kNoReg for stores)
     bool longLatency;   ///< true for global-miss loads
+
+    bool operator==(const Completion&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("done", &Completion::done);
+        v("warp", &Completion::warp);
+        v("dest", &Completion::dest);
+        v("longLatency", &Completion::longLatency);
+    }
 };
+
+static_assert(visitsEveryMember<Completion>());
 
 /**
  * Checkpoint state of one execution unit. The two heaps are captured
@@ -57,7 +72,21 @@ struct ExecUnitState {
     std::uint64_t issues = 0;           ///< lifetime issue count
     std::vector<Cycle> occupancy;       ///< occupancy-end cycles
     std::vector<Completion> completions; ///< in-flight results
+
+    bool operator==(const ExecUnitState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("lastIssue", &ExecUnitState::lastIssue);
+        v("issues", &ExecUnitState::issues);
+        v("occupancy", &ExecUnitState::occupancy);
+        v("completions", &ExecUnitState::completions);
+    }
 };
+
+static_assert(visitsEveryMember<ExecUnitState>());
 
 /**
  * One pipelined cluster. The SM drives it with issue() and tick();

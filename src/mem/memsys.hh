@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/fields.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "trace/recorder.hh"
@@ -62,7 +63,28 @@ struct MemSystemState {
     std::uint64_t misses = 0;
     std::uint64_t stores = 0;
     std::uint64_t mshrRejects = 0;
+
+    bool operator==(const MemSystemState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = MemSystemState;
+        v("rng", &S::rng);
+        v("batchTime", &S::batchTime);
+        v("batchUsed", &S::batchUsed);
+        v("batchLatency", &S::batchLatency);
+        v("batchValid", &S::batchValid);
+        v("inflight", &S::inflight);
+        v("hits", &S::hits);
+        v("misses", &S::misses);
+        v("stores", &S::stores);
+        v("mshrRejects", &S::mshrRejects);
+    }
 };
+
+static_assert(visitsEveryMember<MemSystemState>());
 
 /**
  * Per-SM memory system. Accessed by the LD/ST pipeline; tracks

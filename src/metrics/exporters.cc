@@ -13,57 +13,39 @@ namespace wg::metrics {
 namespace {
 
 /**
- * The epoch-sample schema, shared by the CSV header, the CSV rows and
+ * The epoch-sample columns, shared by the CSV header, the CSV rows and
  * the JSONL epoch objects so the two series formats cannot diverge.
+ * The column order (each idle-detect gauge after its type's counters)
+ * is not visitFields' JSON order, so the table stays explicit;
+ * tests/fields_test.cc checks it names every EpochCounters member
+ * exactly once.
  */
 struct EpochField
 {
     const char* name;
-    std::uint64_t (*get)(const EpochSample&);
+    std::uint64_t EpochCounters::*member;
 };
 
 constexpr EpochField kEpochFields[] = {
-    {"issued", [](const EpochSample& s) { return s.delta.issued; }},
-    {"intBusyCycles",
-     [](const EpochSample& s) { return s.delta.intBusyCycles; }},
-    {"intGatedCycles",
-     [](const EpochSample& s) { return s.delta.intGatedCycles; }},
-    {"intCompCycles",
-     [](const EpochSample& s) { return s.delta.intCompCycles; }},
-    {"intGatingEvents",
-     [](const EpochSample& s) { return s.delta.intGatingEvents; }},
-    {"intWakeups",
-     [](const EpochSample& s) { return s.delta.intWakeups; }},
-    {"intCriticalWakeups",
-     [](const EpochSample& s) { return s.delta.intCriticalWakeups; }},
-    {"intIdleDetect",
-     [](const EpochSample& s) {
-         return static_cast<std::uint64_t>(s.delta.intIdleDetect);
-     }},
-    {"fpBusyCycles",
-     [](const EpochSample& s) { return s.delta.fpBusyCycles; }},
-    {"fpGatedCycles",
-     [](const EpochSample& s) { return s.delta.fpGatedCycles; }},
-    {"fpCompCycles",
-     [](const EpochSample& s) { return s.delta.fpCompCycles; }},
-    {"fpGatingEvents",
-     [](const EpochSample& s) { return s.delta.fpGatingEvents; }},
-    {"fpWakeups",
-     [](const EpochSample& s) { return s.delta.fpWakeups; }},
-    {"fpCriticalWakeups",
-     [](const EpochSample& s) { return s.delta.fpCriticalWakeups; }},
-    {"fpIdleDetect",
-     [](const EpochSample& s) {
-         return static_cast<std::uint64_t>(s.delta.fpIdleDetect);
-     }},
-    {"memMisses",
-     [](const EpochSample& s) { return s.delta.memMisses; }},
-    {"mshrRejects",
-     [](const EpochSample& s) { return s.delta.mshrRejects; }},
-    {"wakeupRequests",
-     [](const EpochSample& s) { return s.delta.wakeupRequests; }},
-    {"activeAccum",
-     [](const EpochSample& s) { return s.delta.activeAccum; }},
+    {"issued", &EpochCounters::issued},
+    {"intBusyCycles", &EpochCounters::intBusyCycles},
+    {"intGatedCycles", &EpochCounters::intGatedCycles},
+    {"intCompCycles", &EpochCounters::intCompCycles},
+    {"intGatingEvents", &EpochCounters::intGatingEvents},
+    {"intWakeups", &EpochCounters::intWakeups},
+    {"intCriticalWakeups", &EpochCounters::intCriticalWakeups},
+    {"intIdleDetect", &EpochCounters::intIdleDetect},
+    {"fpBusyCycles", &EpochCounters::fpBusyCycles},
+    {"fpGatedCycles", &EpochCounters::fpGatedCycles},
+    {"fpCompCycles", &EpochCounters::fpCompCycles},
+    {"fpGatingEvents", &EpochCounters::fpGatingEvents},
+    {"fpWakeups", &EpochCounters::fpWakeups},
+    {"fpCriticalWakeups", &EpochCounters::fpCriticalWakeups},
+    {"fpIdleDetect", &EpochCounters::fpIdleDetect},
+    {"memMisses", &EpochCounters::memMisses},
+    {"mshrRejects", &EpochCounters::mshrRejects},
+    {"wakeupRequests", &EpochCounters::wakeupRequests},
+    {"activeAccum", &EpochCounters::activeAccum},
 };
 
 /** Visit every sample in SM-major, epoch-minor order. */
@@ -270,7 +252,7 @@ jsonlEpochLine(SmId sm, const EpochSample& s)
        << ",\"epoch\":" << s.epoch << ",\"cycleEnd\":" << s.cycleEnd
        << ",\"cycles\":" << s.cycles;
     for (const EpochField& f : kEpochFields)
-        os << ",\"" << f.name << "\":" << f.get(s);
+        os << ",\"" << f.name << "\":" << s.delta.*f.member;
     os << "}";
     return os.str();
 }
@@ -329,7 +311,7 @@ writeMetricsCsv(std::ostream& os, const Collector* collector,
             os << sm << ',' << s.epoch << ',' << s.cycleEnd << ','
                << s.cycles;
             for (const EpochField& f : kEpochFields)
-                os << ',' << f.get(s);
+                os << ',' << s.delta.*f.member;
             os << '\n';
         });
     }

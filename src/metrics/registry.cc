@@ -1,49 +1,55 @@
 #include "registry.hh"
 
+#include <type_traits>
+
+#include "common/fields.hh"
+
 namespace wg::metrics {
+
+namespace {
+
+/**
+ * Add every scalar of @p s under `<prefix>.<name>`. Nested structs
+ * flatten into the same prefix (a cluster's gating counters sit beside
+ * its issue count); histograms are skipped, since a StatSet holds
+ * scalars and distributions export separately.
+ */
+template <class T>
+void
+appendFields(StatSet& set, const std::string& prefix, const T& s)
+{
+    T::visitFields([&](const char* name, auto m) {
+        using M = std::remove_cvref_t<decltype(s.*m)>;
+        if constexpr (Visitable<M>)
+            appendFields(set, prefix, s.*m);
+        else if constexpr (std::is_arithmetic_v<M>)
+            set.set(prefix + "." + name, static_cast<double>(s.*m));
+        else
+            static_assert(std::is_same_v<M, Histogram>);
+    });
+}
+
+} // namespace
 
 void
 appendPgDomainStats(StatSet& set, const std::string& prefix,
                     const PgDomainStats& s)
 {
-    set.set(prefix + ".busyCycles", static_cast<double>(s.busyCycles));
-    set.set(prefix + ".idleOnCycles",
-            static_cast<double>(s.idleOnCycles));
-    set.set(prefix + ".uncompCycles",
-            static_cast<double>(s.uncompCycles));
-    set.set(prefix + ".compCycles", static_cast<double>(s.compCycles));
-    set.set(prefix + ".wakeupCycles",
-            static_cast<double>(s.wakeupCycles));
-    set.set(prefix + ".gatingEvents",
-            static_cast<double>(s.gatingEvents));
-    set.set(prefix + ".wakeups", static_cast<double>(s.wakeups));
-    set.set(prefix + ".uncompWakeups",
-            static_cast<double>(s.uncompWakeups));
-    set.set(prefix + ".criticalWakeups",
-            static_cast<double>(s.criticalWakeups));
-    set.set(prefix + ".coordImmediateGates",
-            static_cast<double>(s.coordImmediateGates));
-    set.set(prefix + ".coordGateVetoes",
-            static_cast<double>(s.coordGateVetoes));
+    appendFields(set, prefix, s);
 }
 
 void
 appendClusterStats(StatSet& set, const std::string& prefix,
                    const ClusterStats& s)
 {
-    appendPgDomainStats(set, prefix, s.pg);
-    set.set(prefix + ".issues", static_cast<double>(s.issues));
+    appendFields(set, prefix, s);
 }
 
 void
 appendUnitEnergy(StatSet& set, const std::string& prefix,
                  const UnitEnergy& e)
 {
-    set.set(prefix + ".dynamicJ", e.dynamicE);
-    set.set(prefix + ".staticJ", e.staticE);
-    set.set(prefix + ".overheadJ", e.overheadE);
-    set.set(prefix + ".staticSavedJ", e.staticSaved);
-    set.set(prefix + ".staticNoPgJ", e.staticNoPg);
+    appendFields(set, prefix, e);
     set.set(prefix + ".totalJ", e.total());
     set.set(prefix + ".savingsRatio", e.staticSavingsRatio());
 }
@@ -106,6 +112,11 @@ appendSmStats(StatSet& set, const std::string& prefix, const SmStats& s)
                 static_cast<double>(s.adaptDecrements[t]));
     }
 }
+
+// SimResult is not visitable: toStatSet names its members by hand. A
+// new member must be registered below (and carried by resultDoc and
+// parseResultDoc in serve/wire.cc) before this count is raised.
+static_assert(aggregateArity<SimResult>() == 11);
 
 StatSet
 toStatSet(const SimResult& r)

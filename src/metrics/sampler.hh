@@ -28,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "metrics/phase_timer.hh"
 
@@ -62,7 +63,37 @@ struct EpochCounters
 
     Cycle intIdleDetect = 0;          ///< gauge: post-epoch window
     Cycle fpIdleDetect = 0;           ///< gauge: post-epoch window
+
+    bool operator==(const EpochCounters&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = EpochCounters;
+        v("issued", &S::issued);
+        v("intBusyCycles", &S::intBusyCycles);
+        v("intGatedCycles", &S::intGatedCycles);
+        v("intCompCycles", &S::intCompCycles);
+        v("intGatingEvents", &S::intGatingEvents);
+        v("intWakeups", &S::intWakeups);
+        v("intCriticalWakeups", &S::intCriticalWakeups);
+        v("fpBusyCycles", &S::fpBusyCycles);
+        v("fpGatedCycles", &S::fpGatedCycles);
+        v("fpCompCycles", &S::fpCompCycles);
+        v("fpGatingEvents", &S::fpGatingEvents);
+        v("fpWakeups", &S::fpWakeups);
+        v("fpCriticalWakeups", &S::fpCriticalWakeups);
+        v("memMisses", &S::memMisses);
+        v("mshrRejects", &S::mshrRejects);
+        v("wakeupRequests", &S::wakeupRequests);
+        v("activeAccum", &S::activeAccum);
+        v("intIdleDetect", &S::intIdleDetect);
+        v("fpIdleDetect", &S::fpIdleDetect);
+    }
 };
+
+static_assert(visitsEveryMember<EpochCounters>());
 
 /** One epoch's deltas (gauges excepted) for one SM. */
 struct EpochSample
@@ -73,7 +104,21 @@ struct EpochSample
                               ///< except a final partial epoch)
     EpochCounters delta;      ///< counter deltas; idle-detect fields
                               ///< are end-of-epoch gauges, not deltas
+
+    bool operator==(const EpochSample&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("epoch", &EpochSample::epoch);
+        v("cycleEnd", &EpochSample::cycleEnd);
+        v("cycles", &EpochSample::cycles);
+        v("delta", &EpochSample::delta);
+    }
 };
+
+static_assert(visitsEveryMember<EpochSample>());
 
 /**
  * Checkpoint state of one EpochSampler: the closed samples plus the
@@ -86,7 +131,21 @@ struct SamplerState
     Cycle lastCycle = 0;             ///< last closed boundary
     EpochCounters prev;              ///< cumulative baseline at lastCycle
     std::vector<EpochSample> samples; ///< closed epochs, oldest first
+
+    bool operator==(const SamplerState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("epochLength", &SamplerState::epochLength);
+        v("lastCycle", &SamplerState::lastCycle);
+        v("prev", &SamplerState::prev);
+        v("samples", &SamplerState::samples);
+    }
 };
+
+static_assert(visitsEveryMember<SamplerState>());
 
 /**
  * Bounded single-producer/single-consumer ring. The producer is one SM
@@ -302,24 +361,8 @@ class EpochSampler
     diff(const EpochCounters& a, const EpochCounters& b)
     {
         EpochCounters d;
-        d.issued = a.issued - b.issued;
-        d.intBusyCycles = a.intBusyCycles - b.intBusyCycles;
-        d.intGatedCycles = a.intGatedCycles - b.intGatedCycles;
-        d.intCompCycles = a.intCompCycles - b.intCompCycles;
-        d.intGatingEvents = a.intGatingEvents - b.intGatingEvents;
-        d.intWakeups = a.intWakeups - b.intWakeups;
-        d.intCriticalWakeups =
-            a.intCriticalWakeups - b.intCriticalWakeups;
-        d.fpBusyCycles = a.fpBusyCycles - b.fpBusyCycles;
-        d.fpGatedCycles = a.fpGatedCycles - b.fpGatedCycles;
-        d.fpCompCycles = a.fpCompCycles - b.fpCompCycles;
-        d.fpGatingEvents = a.fpGatingEvents - b.fpGatingEvents;
-        d.fpWakeups = a.fpWakeups - b.fpWakeups;
-        d.fpCriticalWakeups = a.fpCriticalWakeups - b.fpCriticalWakeups;
-        d.memMisses = a.memMisses - b.memMisses;
-        d.mshrRejects = a.mshrRejects - b.mshrRejects;
-        d.wakeupRequests = a.wakeupRequests - b.wakeupRequests;
-        d.activeAccum = a.activeAccum - b.activeAccum;
+        EpochCounters::visitFields(
+            [&](const char*, auto m) { d.*m = a.*m - b.*m; });
         d.intIdleDetect = a.intIdleDetect;
         d.fpIdleDetect = a.fpIdleDetect;
         return d;

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
+
 #include "pg/params.hh"
 
 namespace wg {
@@ -20,7 +22,21 @@ struct AdaptiveState {
     std::uint32_t goodEpochs = 0; ///< consecutive epochs under threshold
     std::uint64_t increments = 0; ///< increments applied (diagnostics)
     std::uint64_t decrements = 0; ///< decrements applied (diagnostics)
+
+    bool operator==(const AdaptiveState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("value", &AdaptiveState::value);
+        v("goodEpochs", &AdaptiveState::goodEpochs);
+        v("increments", &AdaptiveState::increments);
+        v("decrements", &AdaptiveState::decrements);
+    }
 };
+
+static_assert(visitsEveryMember<AdaptiveState>());
 
 /**
  * One adaptive idle-detect regulator. Instantiated per unit type (one

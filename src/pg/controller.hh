@@ -30,7 +30,21 @@ struct PgControllerState {
     PgDomainState sfuDomain;             ///< SFU gating domain
     std::array<AdaptiveState, 2> adaptive; ///< per-type regulators
     Cycle epochStart = 0;                ///< current epoch's first cycle
+
+    bool operator==(const PgControllerState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("domains", &PgControllerState::domains);
+        v("sfuDomain", &PgControllerState::sfuDomain);
+        v("adaptive", &PgControllerState::adaptive);
+        v("epochStart", &PgControllerState::epochStart);
+    }
 };
+
+static_assert(visitsEveryMember<PgControllerState>());
 
 /**
  * Power-gating controller for one SM. Only INT and FP clusters are

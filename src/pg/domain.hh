@@ -7,6 +7,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "common/histogram.hh"
 #include "common/types.hh"
 #include "pg/params.hh"
@@ -47,24 +48,33 @@ struct PgDomainStats
     /**
      * Sum another domain's counters into this one. Every aggregation
      * path (ClusterStats::merge, SimResult::typeStats) delegates here,
-     * so a newly added counter only needs to be merged in one place.
+     * and every counter sums, so the merge walks visitFields: a new
+     * counter needs no line here.
      */
-    void
-    merge(const PgDomainStats& other)
+    void merge(const PgDomainStats& other) { mergeFields(*this, other); }
+
+    bool operator==(const PgDomainStats&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
     {
-        busyCycles += other.busyCycles;
-        idleOnCycles += other.idleOnCycles;
-        uncompCycles += other.uncompCycles;
-        compCycles += other.compCycles;
-        wakeupCycles += other.wakeupCycles;
-        gatingEvents += other.gatingEvents;
-        wakeups += other.wakeups;
-        uncompWakeups += other.uncompWakeups;
-        criticalWakeups += other.criticalWakeups;
-        coordImmediateGates += other.coordImmediateGates;
-        coordGateVetoes += other.coordGateVetoes;
+        using S = PgDomainStats;
+        v("busyCycles", &S::busyCycles);
+        v("idleOnCycles", &S::idleOnCycles);
+        v("uncompCycles", &S::uncompCycles);
+        v("compCycles", &S::compCycles);
+        v("wakeupCycles", &S::wakeupCycles);
+        v("gatingEvents", &S::gatingEvents);
+        v("wakeups", &S::wakeups);
+        v("uncompWakeups", &S::uncompWakeups);
+        v("criticalWakeups", &S::criticalWakeups);
+        v("coordImmediateGates", &S::coordImmediateGates);
+        v("coordGateVetoes", &S::coordGateVetoes);
     }
 };
+
+static_assert(visitsEveryMember<PgDomainStats>());
 
 /**
  * Checkpoint state of one power-gating domain: the Fig. 2c state
@@ -82,7 +92,28 @@ struct PgDomainState {
     std::uint32_t epochCritical = 0; ///< critical wakeups this epoch
     PgDomainStats stats;            ///< lifetime event/cycle counters
     Histogram idleHist;             ///< idle-period-length distribution
+
+    bool operator==(const PgDomainState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = PgDomainState;
+        v("state", &S::state);
+        v("idleCount", &S::idleCount);
+        v("betRemaining", &S::betRemaining);
+        v("wakeupRemaining", &S::wakeupRemaining);
+        v("compensatedAt", &S::compensatedAt);
+        v("wakeupRequested", &S::wakeupRequested);
+        v("idleRun", &S::idleRun);
+        v("epochCritical", &S::epochCritical);
+        v("stats", &S::stats);
+        v("idleHist", &S::idleHist);
+    }
 };
+
+static_assert(visitsEveryMember<PgDomainState>());
 
 /**
  * One gateable execution cluster's power-gating controller.

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/fields.hh"
 #include "pg/domain.hh"
 #include "power/constants.hh"
 
@@ -49,16 +50,24 @@ struct UnitEnergy
     }
 
     /** Accumulate another ledger. */
-    void
-    add(const UnitEnergy& other)
+    void add(const UnitEnergy& other) { mergeFields(*this, other); }
+
+    bool operator==(const UnitEnergy&) const = default;
+
+    /** Ledger entries under their exported names (joules). */
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
     {
-        dynamicE += other.dynamicE;
-        staticE += other.staticE;
-        overheadE += other.overheadE;
-        staticSaved += other.staticSaved;
-        staticNoPg += other.staticNoPg;
+        v("dynamicJ", &UnitEnergy::dynamicE);
+        v("staticJ", &UnitEnergy::staticE);
+        v("overheadJ", &UnitEnergy::overheadE);
+        v("staticSavedJ", &UnitEnergy::staticSaved);
+        v("staticNoPgJ", &UnitEnergy::staticNoPg);
     }
 };
+
+static_assert(visitsEveryMember<UnitEnergy>());
 
 /**
  * Computes UnitEnergy ledgers from simulation counters.

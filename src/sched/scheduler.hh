@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "arch/instr.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "sched/bitmask.hh"
 #include "trace/recorder.hh"
@@ -88,7 +89,23 @@ struct SchedulerState {
     std::uint64_t switches = 0;   ///< GATES dynamic switch count
     std::uint32_t greedyWarp = ~std::uint32_t(0); ///< GTO greedy warp
     Cycle now = 0;                ///< GTO latched cycle
+
+    bool operator==(const SchedulerState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = SchedulerState;
+        v("hiClass", &S::hiClass);
+        v("lastSwitch", &S::lastSwitch);
+        v("switches", &S::switches);
+        v("greedyWarp", &S::greedyWarp);
+        v("now", &S::now);
+    }
 };
+
+static_assert(visitsEveryMember<SchedulerState>());
 
 /**
  * Abstract warp scheduler. Implementations: TwoLevelScheduler (the

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "arch/program.hh"
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "sched/bitmask.hh"
 
@@ -55,7 +56,21 @@ struct WarpSlotState {
     std::uint32_t bufSize = 0;     ///< decoded entries buffered
     std::uint32_t outstanding = 0; ///< issued, not yet written back
     std::uint8_t loc = 0;          ///< WarpLoc residency state
+
+    bool operator==(const WarpSlotState&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("pc", &WarpSlotState::pc);
+        v("bufSize", &WarpSlotState::bufSize);
+        v("outstanding", &WarpSlotState::outstanding);
+        v("loc", &WarpSlotState::loc);
+    }
 };
+
+static_assert(visitsEveryMember<WarpSlotState>());
 
 /**
  * SoA state of every warp resident on one SM. The SM owns one of

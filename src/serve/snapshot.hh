@@ -23,10 +23,9 @@
  * byte-identically), and parsing that never aborts — malformed or
  * version-mismatched documents come back as error strings.
  *
- * Every snapshotted struct has a (toJson, fromJson) free-function pair
- * below; the wglint D5 rule cross-checks that each struct field
- * reaches its codec functions, so adding a field without serializing
- * it fails the lint gate.
+ * Every snapshotted struct lists its members once in visitFields; the
+ * generic codec in wire_detail.hh walks that list, so a new member is
+ * serialized and restored without touching the codec.
  */
 
 #pragma once
@@ -100,69 +99,10 @@ bool parseJobSnapshotDoc(const Json& doc, std::string& id,
                          SweepSpec& spec, std::vector<ResultCell>& cells,
                          std::string& error);
 
-// ----- per-struct codecs (indexed by the wglint D5 rule) -----
+// ----- the snapshot body and identity block -----
 //
-// Each fromJson mirrors its toJson; @p path prefixes error messages
-// with the dotted location of the offending member.
-
-Json rngStateToJson(const RngState& s);
-bool rngStateFromJson(const Json& j, const std::string& path,
-                      RngState& out, std::string& error);
-
-Json warpSlotStateToJson(const WarpSlotState& s);
-bool warpSlotStateFromJson(const Json& j, const std::string& path,
-                           WarpSlotState& out, std::string& error);
-
-Json schedulerStateToJson(const SchedulerState& s);
-bool schedulerStateFromJson(const Json& j, const std::string& path,
-                            SchedulerState& out, std::string& error);
-
-Json completionToJson(const Completion& c);
-bool completionFromJson(const Json& j, const std::string& path,
-                        Completion& out, std::string& error);
-
-Json execUnitStateToJson(const ExecUnitState& s);
-bool execUnitStateFromJson(const Json& j, const std::string& path,
-                           ExecUnitState& out, std::string& error);
-
-Json memSystemStateToJson(const MemSystemState& s);
-bool memSystemStateFromJson(const Json& j, const std::string& path,
-                            MemSystemState& out, std::string& error);
-
-Json pgDomainStateToJson(const PgDomainState& s);
-bool pgDomainStateFromJson(const Json& j, const std::string& path,
-                           PgDomainState& out, std::string& error);
-
-Json adaptiveStateToJson(const AdaptiveState& s);
-bool adaptiveStateFromJson(const Json& j, const std::string& path,
-                           AdaptiveState& out, std::string& error);
-
-Json pgControllerStateToJson(const PgControllerState& s);
-bool pgControllerStateFromJson(const Json& j, const std::string& path,
-                               PgControllerState& out,
-                               std::string& error);
-
-Json epochCountersToJson(const metrics::EpochCounters& c);
-bool epochCountersFromJson(const Json& j, const std::string& path,
-                           metrics::EpochCounters& out,
-                           std::string& error);
-
-Json epochSampleToJson(const metrics::EpochSample& s);
-bool epochSampleFromJson(const Json& j, const std::string& path,
-                         metrics::EpochSample& out, std::string& error);
-
-Json samplerStateToJson(const metrics::SamplerState& s);
-bool samplerStateFromJson(const Json& j, const std::string& path,
-                          metrics::SamplerState& out,
-                          std::string& error);
-
-Json traceEventToJson(const trace::Event& e);
-bool traceEventFromJson(const Json& j, const std::string& path,
-                        trace::Event& out, std::string& error);
-
-Json smSnapshotToJson(const SmSnapshot& s);
-bool smSnapshotFromJson(const Json& j, const std::string& path,
-                        SmSnapshot& out, std::string& error);
+// @p path prefixes error messages with the dotted location of the
+// offending member.
 
 Json gpuSnapshotToJson(const GpuSnapshot& s);
 bool gpuSnapshotFromJson(const Json& j, const std::string& path,

@@ -7,114 +7,52 @@ namespace wg::serve::wire {
 
 namespace detail {
 
-// ----- typed field readers (error strings carry the dotted path) -----
+std::string
+JsonPath::str() const
+{
+    if (parent_ == nullptr)
+        return std::string(root_);
+    std::string s = parent_->str();
+    s += '.';
+    if (key_ != nullptr)
+        s += key_;
+    else
+        s += std::to_string(index_);
+    return s;
+}
 
 bool
-failAt(std::string& error, const std::string& path,
-       const std::string& what)
+failAt(std::string& error, const JsonPath& path, const std::string& what)
 {
-    error = path + ": " + what;
+    error = path.str() + ": " + what;
     return false;
 }
 
 bool
-getMember(const Json& obj, const std::string& path, const char* key,
+getMember(const Json& obj, const JsonPath& path, const char* key,
           const Json*& out, std::string& error)
 {
     if (!obj.isObject())
         return failAt(error, path, "expected an object");
     out = obj.find(key);
     if (out == nullptr)
-        return failAt(error, path, std::string("missing member '") +
-                                       key + "'");
+        return failAt(error, path,
+                      std::string("missing member '") + key + "'");
     return true;
 }
 
 bool
-getU64(const Json& obj, const std::string& path, const char* key,
-       std::uint64_t& out, std::string& error)
+decodeU64(const Json& j, const JsonPath& path, std::uint64_t& out,
+          std::string& error)
 {
-    const Json* m = nullptr;
-    if (!getMember(obj, path, key, m, error))
-        return false;
-    if (!m->isNumber() || m->asDouble() < 0)
-        return failAt(error, path + "." + key,
-                      "expected a non-negative number");
-    out = m->asU64();
+    if (!j.isNumber() || j.asDouble() < 0)
+        return failAt(error, path, "expected a non-negative number");
+    out = j.asU64();
     return true;
 }
-
-bool
-getDouble(const Json& obj, const std::string& path, const char* key,
-          double& out, std::string& error)
-{
-    const Json* m = nullptr;
-    if (!getMember(obj, path, key, m, error))
-        return false;
-    if (!m->isNumber())
-        return failAt(error, path + "." + key, "expected a number");
-    out = m->asDouble();
-    return true;
-}
-
-bool
-getBool(const Json& obj, const std::string& path, const char* key,
-        bool& out, std::string& error)
-{
-    const Json* m = nullptr;
-    if (!getMember(obj, path, key, m, error))
-        return false;
-    if (!m->isBool())
-        return failAt(error, path + "." + key, "expected a boolean");
-    out = m->asBool();
-    return true;
-}
-
-bool
-getString(const Json& obj, const std::string& path, const char* key,
-          std::string& out, std::string& error)
-{
-    const Json* m = nullptr;
-    if (!getMember(obj, path, key, m, error))
-        return false;
-    if (!m->isString())
-        return failAt(error, path + "." + key, "expected a string");
-    out = m->asString();
-    return true;
-}
-
-bool
-getArray(const Json& obj, const std::string& path, const char* key,
-         std::size_t size, const Json*& out, std::string& error)
-{
-    if (!getMember(obj, path, key, out, error))
-        return false;
-    if (!out->isArray())
-        return failAt(error, path + "." + key, "expected an array");
-    if (size != 0 && out->items().size() != size)
-        return failAt(error, path + "." + key,
-                      "expected exactly " + std::to_string(size) +
-                          " elements, got " +
-                          std::to_string(out->items().size()));
-    return true;
-}
-
-bool
-u64Item(const Json& arr, const std::string& path, std::size_t i,
-        std::uint64_t& out, std::string& error)
-{
-    const Json& v = arr.items()[i];
-    if (!v.isNumber() || v.asDouble() < 0)
-        return failAt(error, path + "." + std::to_string(i),
-                      "expected a non-negative number");
-    out = v.asU64();
-    return true;
-}
-
-// ----- leaf struct (de)serializers -----
 
 Json
-histogramToJson(const Histogram& h)
+encodeJson(const Histogram& h)
 {
     Json j = Json::object();
     j.set("maxBin", Json::number(h.maxBin()));
@@ -129,251 +67,37 @@ histogramToJson(const Histogram& h)
 }
 
 bool
-histogramFromJson(const Json& j, const std::string& path, Histogram& out,
-                  std::string& error)
+decodeJson(const Json& j, const JsonPath& path, Histogram& out,
+           std::string& error)
 {
     std::uint64_t max_bin = 0;
     std::uint64_t overflow = 0;
     std::uint64_t total = 0;
     std::uint64_t sum = 0;
-    if (!getU64(j, path, "maxBin", max_bin, error) ||
-        !getU64(j, path, "overflow", overflow, error) ||
-        !getU64(j, path, "total", total, error) ||
-        !getU64(j, path, "sum", sum, error))
+    if (!decodeMember(j, path, "maxBin", max_bin, error) ||
+        !decodeMember(j, path, "overflow", overflow, error) ||
+        !decodeMember(j, path, "total", total, error) ||
+        !decodeMember(j, path, "sum", sum, error))
         return false;
     if (max_bin > 1 << 20)
-        return failAt(error, path + ".maxBin", "implausibly large");
-    const Json* bins_j = nullptr;
-    if (!getArray(j, path, "bins", max_bin + 1, bins_j, error))
+        return failAt(error, JsonPath(path, "maxBin"),
+                      "implausibly large");
+    std::vector<std::uint64_t> bins;
+    if (!decodeMember(j, path, "bins", bins, error))
         return false;
-    std::vector<std::uint64_t> bins(max_bin + 1, 0);
+    if (bins.size() != max_bin + 1)
+        return failAt(error, JsonPath(path, "bins"),
+                      "expected exactly " + std::to_string(max_bin + 1) +
+                          " elements, got " +
+                          std::to_string(bins.size()));
     std::uint64_t binned = 0;
-    for (std::size_t i = 0; i <= max_bin; ++i) {
-        if (!u64Item(*bins_j, path + ".bins", i, bins[i], error))
-            return false;
-        binned += bins[i];
-    }
+    for (std::uint64_t b : bins)
+        binned += b;
     if (binned + overflow != total)
         return failAt(error, path,
                       "total does not equal sum(bins) + overflow");
     out = Histogram::fromRaw(max_bin, std::move(bins), overflow, total,
                              sum);
-    return true;
-}
-
-Json
-pgStatsToJson(const PgDomainStats& s)
-{
-    Json j = Json::object();
-    j.set("busyCycles", Json::number(s.busyCycles));
-    j.set("idleOnCycles", Json::number(s.idleOnCycles));
-    j.set("uncompCycles", Json::number(s.uncompCycles));
-    j.set("compCycles", Json::number(s.compCycles));
-    j.set("wakeupCycles", Json::number(s.wakeupCycles));
-    j.set("gatingEvents", Json::number(s.gatingEvents));
-    j.set("wakeups", Json::number(s.wakeups));
-    j.set("uncompWakeups", Json::number(s.uncompWakeups));
-    j.set("criticalWakeups", Json::number(s.criticalWakeups));
-    j.set("coordImmediateGates", Json::number(s.coordImmediateGates));
-    j.set("coordGateVetoes", Json::number(s.coordGateVetoes));
-    return j;
-}
-
-bool
-pgStatsFromJson(const Json& j, const std::string& path,
-                PgDomainStats& out, std::string& error)
-{
-    return getU64(j, path, "busyCycles", out.busyCycles, error) &&
-           getU64(j, path, "idleOnCycles", out.idleOnCycles, error) &&
-           getU64(j, path, "uncompCycles", out.uncompCycles, error) &&
-           getU64(j, path, "compCycles", out.compCycles, error) &&
-           getU64(j, path, "wakeupCycles", out.wakeupCycles, error) &&
-           getU64(j, path, "gatingEvents", out.gatingEvents, error) &&
-           getU64(j, path, "wakeups", out.wakeups, error) &&
-           getU64(j, path, "uncompWakeups", out.uncompWakeups, error) &&
-           getU64(j, path, "criticalWakeups", out.criticalWakeups,
-                  error) &&
-           getU64(j, path, "coordImmediateGates",
-                  out.coordImmediateGates, error) &&
-           getU64(j, path, "coordGateVetoes", out.coordGateVetoes,
-                  error);
-}
-
-Json
-clusterToJson(const ClusterStats& c)
-{
-    Json j = Json::object();
-    j.set("pg", pgStatsToJson(c.pg));
-    j.set("issues", Json::number(c.issues));
-    j.set("idleHist", histogramToJson(c.idleHist));
-    return j;
-}
-
-bool
-clusterFromJson(const Json& j, const std::string& path, ClusterStats& out,
-                std::string& error)
-{
-    const Json* pg_j = nullptr;
-    const Json* hist_j = nullptr;
-    if (!getMember(j, path, "pg", pg_j, error) ||
-        !pgStatsFromJson(*pg_j, path + ".pg", out.pg, error) ||
-        !getU64(j, path, "issues", out.issues, error) ||
-        !getMember(j, path, "idleHist", hist_j, error) ||
-        !histogramFromJson(*hist_j, path + ".idleHist", out.idleHist,
-                           error))
-        return false;
-    return true;
-}
-
-Json
-energyToJson(const UnitEnergy& e)
-{
-    Json j = Json::object();
-    j.set("dynamicJ", Json::number(e.dynamicE));
-    j.set("staticJ", Json::number(e.staticE));
-    j.set("overheadJ", Json::number(e.overheadE));
-    j.set("staticSavedJ", Json::number(e.staticSaved));
-    j.set("staticNoPgJ", Json::number(e.staticNoPg));
-    return j;
-}
-
-bool
-energyFromJson(const Json& j, const std::string& path, UnitEnergy& out,
-               std::string& error)
-{
-    return getDouble(j, path, "dynamicJ", out.dynamicE, error) &&
-           getDouble(j, path, "staticJ", out.staticE, error) &&
-           getDouble(j, path, "overheadJ", out.overheadE, error) &&
-           getDouble(j, path, "staticSavedJ", out.staticSaved, error) &&
-           getDouble(j, path, "staticNoPgJ", out.staticNoPg, error);
-}
-
-Json
-u64ArrayToJson(const std::uint64_t* values, std::size_t n)
-{
-    Json arr = Json::array();
-    for (std::size_t i = 0; i < n; ++i)
-        arr.append(Json::number(values[i]));
-    return arr;
-}
-
-bool
-u64ArrayFromJson(const Json& obj, const std::string& path,
-                 const char* key, std::uint64_t* out, std::size_t n,
-                 std::string& error)
-{
-    const Json* arr = nullptr;
-    if (!getArray(obj, path, key, n, arr, error))
-        return false;
-    for (std::size_t i = 0; i < n; ++i)
-        if (!u64Item(*arr, path + "." + key, i, out[i], error))
-            return false;
-    return true;
-}
-
-Json
-smStatsToJson(const SmStats& s)
-{
-    Json j = Json::object();
-    j.set("cycles", Json::number(s.cycles));
-    j.set("completed", Json::boolean(s.completed));
-    j.set("issuedByClass",
-          u64ArrayToJson(s.issuedByClass.data(), kNumUnitClasses));
-    j.set("issuedTotal", Json::number(s.issuedTotal));
-    Json clusters = Json::object();
-    const char* kTypeNames[2] = {"int", "fp"};
-    for (std::size_t type = 0; type < 2; ++type) {
-        Json pair = Json::array();
-        for (std::size_t c = 0; c < 2; ++c)
-            pair.append(clusterToJson(s.clusters[type][c]));
-        clusters.set(kTypeNames[type], std::move(pair));
-    }
-    j.set("clusters", std::move(clusters));
-    j.set("sfuCluster", clusterToJson(s.sfuCluster));
-    j.set("sfuIssues", Json::number(s.sfuIssues));
-    j.set("ldstIssues", Json::number(s.ldstIssues));
-    j.set("sfuBusyCycles", Json::number(s.sfuBusyCycles));
-    j.set("ldstBusyCycles", Json::number(s.ldstBusyCycles));
-    j.set("activeSizeAccum", Json::number(s.activeSizeAccum));
-    j.set("activeSizeMax",
-          Json::number(static_cast<std::uint64_t>(s.activeSizeMax)));
-    j.set("prioritySwitches", Json::number(s.prioritySwitches));
-    j.set("wakeupRequests", Json::number(s.wakeupRequests));
-    j.set("memHits", Json::number(s.memHits));
-    j.set("memMisses", Json::number(s.memMisses));
-    j.set("memStores", Json::number(s.memStores));
-    j.set("mshrRejects", Json::number(s.mshrRejects));
-    j.set("finalIdleDetect",
-          u64ArrayToJson(s.finalIdleDetect.data(), 2));
-    j.set("adaptIncrements",
-          u64ArrayToJson(s.adaptIncrements.data(), 2));
-    j.set("adaptDecrements",
-          u64ArrayToJson(s.adaptDecrements.data(), 2));
-    return j;
-}
-
-bool
-smStatsFromJson(const Json& j, const std::string& path, SmStats& out,
-                std::string& error)
-{
-    if (!getU64(j, path, "cycles", out.cycles, error) ||
-        !getBool(j, path, "completed", out.completed, error) ||
-        !u64ArrayFromJson(j, path, "issuedByClass",
-                          out.issuedByClass.data(), kNumUnitClasses,
-                          error) ||
-        !getU64(j, path, "issuedTotal", out.issuedTotal, error))
-        return false;
-    const Json* clusters = nullptr;
-    if (!getMember(j, path, "clusters", clusters, error))
-        return false;
-    const char* kTypeNames[2] = {"int", "fp"};
-    for (std::size_t type = 0; type < 2; ++type) {
-        const Json* pair = nullptr;
-        const std::string cpath = path + ".clusters";
-        if (!getArray(*clusters, cpath, kTypeNames[type], 2, pair,
-                      error))
-            return false;
-        for (std::size_t c = 0; c < 2; ++c) {
-            const std::string ipath = cpath + "." + kTypeNames[type] +
-                                      "." + std::to_string(c);
-            if (!pair->items()[c].isObject())
-                return failAt(error, ipath, "expected an object");
-            if (!clusterFromJson(pair->items()[c], ipath,
-                                 out.clusters[type][c], error))
-                return false;
-        }
-    }
-    const Json* sfu = nullptr;
-    if (!getMember(j, path, "sfuCluster", sfu, error) ||
-        !clusterFromJson(*sfu, path + ".sfuCluster", out.sfuCluster,
-                         error))
-        return false;
-    std::uint64_t active_max = 0;
-    if (!getU64(j, path, "sfuIssues", out.sfuIssues, error) ||
-        !getU64(j, path, "ldstIssues", out.ldstIssues, error) ||
-        !getU64(j, path, "sfuBusyCycles", out.sfuBusyCycles, error) ||
-        !getU64(j, path, "ldstBusyCycles", out.ldstBusyCycles, error) ||
-        !getU64(j, path, "activeSizeAccum", out.activeSizeAccum,
-                error) ||
-        !getU64(j, path, "activeSizeMax", active_max, error) ||
-        !getU64(j, path, "prioritySwitches", out.prioritySwitches,
-                error) ||
-        !getU64(j, path, "wakeupRequests", out.wakeupRequests, error) ||
-        !getU64(j, path, "memHits", out.memHits, error) ||
-        !getU64(j, path, "memMisses", out.memMisses, error) ||
-        !getU64(j, path, "memStores", out.memStores, error) ||
-        !getU64(j, path, "mshrRejects", out.mshrRejects, error))
-        return false;
-    if (active_max > UINT32_MAX)
-        return failAt(error, path + ".activeSizeMax", "out of range");
-    out.activeSizeMax = static_cast<std::uint32_t>(active_max);
-    if (!u64ArrayFromJson(j, path, "finalIdleDetect",
-                          out.finalIdleDetect.data(), 2, error) ||
-        !u64ArrayFromJson(j, path, "adaptIncrements",
-                          out.adaptIncrements.data(), 2, error) ||
-        !u64ArrayFromJson(j, path, "adaptDecrements",
-                          out.adaptDecrements.data(), 2, error))
-        return false;
     return true;
 }
 
@@ -394,11 +118,13 @@ bool
 checkEnvelope(const Json& doc, const std::string& type,
               std::string& error)
 {
+    const JsonPath root("$");
     if (!doc.isObject())
-        return failAt(error, "$", "expected an object document");
+        return failAt(error, root, "expected an object document");
     const Json* v = doc.find("wire");
     if (v == nullptr || !v->isNumber())
-        return failAt(error, "$.wire", "missing schema version");
+        return failAt(error, JsonPath(root, "wire"),
+                      "missing schema version");
     if (v->asU64() < kMinSchemaVersion || v->asU64() > kSchemaVersion) {
         error = "$.wire: unsupported schema version " +
                 std::to_string(v->asU64()) + " (this build speaks " +
@@ -407,10 +133,10 @@ checkEnvelope(const Json& doc, const std::string& type,
         return false;
     }
     std::string t;
-    if (!getString(doc, "$", "type", t, error))
+    if (!decodeMember(doc, root, "type", t, error))
         return false;
     if (t != type)
-        return failAt(error, "$.type",
+        return failAt(error, JsonPath(root, "type"),
                       "expected '" + type + "', got '" + t + "'");
     return true;
 }
@@ -443,15 +169,16 @@ toJson(const ExperimentOptions& opts)
 bool
 fromJson(const Json& j, ExperimentOptions& out, std::string& error)
 {
+    const JsonPath path("options");
     std::uint64_t num_sms = 0;
-    if (!getU64(j, "options", "numSms", num_sms, error) ||
-        !getU64(j, "options", "seed", out.seed, error) ||
-        !getU64(j, "options", "idleDetect", out.idleDetect, error) ||
-        !getU64(j, "options", "breakEven", out.breakEven, error) ||
-        !getU64(j, "options", "wakeupDelay", out.wakeupDelay, error))
+    if (!decodeMember(j, path, "numSms", num_sms, error) ||
+        !decodeMember(j, path, "seed", out.seed, error) ||
+        !decodeMember(j, path, "idleDetect", out.idleDetect, error) ||
+        !decodeMember(j, path, "breakEven", out.breakEven, error) ||
+        !decodeMember(j, path, "wakeupDelay", out.wakeupDelay, error))
         return false;
     if (num_sms == 0 || num_sms > 4096)
-        return failAt(error, "options.numSms",
+        return failAt(error, JsonPath(path, "numSms"),
                       "must be in [1, 4096]");
     out.numSms = static_cast<unsigned>(num_sms);
     return true;
@@ -461,10 +188,7 @@ Json
 toJson(const SweepSpec& spec)
 {
     Json j = Json::object();
-    Json benches = Json::array();
-    for (const std::string& b : spec.benches)
-        benches.append(Json::string(b));
-    j.set("benches", std::move(benches));
+    j.set("benches", encodeJson(spec.benches));
     Json techniques = Json::array();
     for (Technique t : spec.techniques)
         techniques.append(Json::string(techniqueName(t)));
@@ -477,35 +201,24 @@ toJson(const SweepSpec& spec)
 bool
 fromJson(const Json& j, SweepSpec& out, std::string& error)
 {
-    const Json* benches = nullptr;
-    if (!getArray(j, "sweep", "benches", 0, benches, error))
-        return false;
-    if (benches->items().empty())
-        return failAt(error, "sweep.benches", "must not be empty");
+    const JsonPath path("sweep");
     std::vector<std::string> bench_names;
-    for (std::size_t i = 0; i < benches->items().size(); ++i) {
-        const Json& b = benches->items()[i];
-        if (!b.isString())
-            return failAt(error,
-                          "sweep.benches." + std::to_string(i),
-                          "expected a string");
-        bench_names.push_back(b.asString());
-    }
-    const Json* techniques = nullptr;
-    if (!getArray(j, "sweep", "techniques", 0, techniques, error))
+    if (!decodeMember(j, path, "benches", bench_names, error))
         return false;
-    if (techniques->items().empty())
-        return failAt(error, "sweep.techniques", "must not be empty");
-    std::vector<Technique> techs;
-    for (std::size_t i = 0; i < techniques->items().size(); ++i) {
-        const Json& t = techniques->items()[i];
-        Technique parsed = Technique::Baseline;
-        if (!t.isString() || !parseTechnique(t.asString(), parsed))
-            return failAt(error,
-                          "sweep.techniques." + std::to_string(i),
+    if (bench_names.empty())
+        return failAt(error, JsonPath(path, "benches"),
+                      "must not be empty");
+    std::vector<std::string> technique_names;
+    if (!decodeMember(j, path, "techniques", technique_names, error))
+        return false;
+    const JsonPath tpath(path, "techniques");
+    if (technique_names.empty())
+        return failAt(error, tpath, "must not be empty");
+    std::vector<Technique> techs(technique_names.size());
+    for (std::size_t i = 0; i < techs.size(); ++i)
+        if (!parseTechnique(technique_names[i], techs[i]))
+            return failAt(error, JsonPath(tpath, i),
                           "unknown technique");
-        techs.push_back(parsed);
-    }
     std::optional<ExperimentOptions> options;
     if (const Json* o = j.find("options")) {
         ExperimentOptions parsed;
@@ -530,12 +243,10 @@ bool
 parseOptionsDoc(const Json& doc, ExperimentOptions& out,
                 std::string& error)
 {
-    if (!checkEnvelope(doc, "options", error))
-        return false;
     const Json* body = nullptr;
-    if (!getMember(doc, "$", "options", body, error))
-        return false;
-    return fromJson(*body, out, error);
+    return checkEnvelope(doc, "options", error) &&
+           getMember(doc, JsonPath("$"), "options", body, error) &&
+           fromJson(*body, out, error);
 }
 
 Json
@@ -549,13 +260,17 @@ sweepDoc(const SweepSpec& spec)
 bool
 parseSweepDoc(const Json& doc, SweepSpec& out, std::string& error)
 {
-    if (!checkEnvelope(doc, "sweep", error))
-        return false;
     const Json* body = nullptr;
-    if (!getMember(doc, "$", "sweep", body, error))
-        return false;
-    return fromJson(*body, out, error);
+    return checkEnvelope(doc, "sweep", error) &&
+           getMember(doc, JsonPath("$"), "sweep", body, error) &&
+           fromJson(*body, out, error);
 }
+
+// SimResult is not visitable: resultDoc and parseResultDoc name its
+// members by hand (the idle histograms are rebuilt from the aggregate).
+// A new member must be carried by both, and registered by toStatSet in
+// metrics/registry.cc, before this count is raised.
+static_assert(aggregateArity<SimResult>() == 11);
 
 Json
 resultDoc(const std::string& bench, Technique technique,
@@ -568,16 +283,13 @@ resultDoc(const std::string& bench, Technique technique,
     Json body = Json::object();
     body.set("cycles", Json::number(result.cycles));
     body.set("totalSmCycles", Json::number(result.totalSmCycles));
-    Json sm_cycles = Json::array();
-    for (Cycle c : result.smCycles)
-        sm_cycles.append(Json::number(c));
-    body.set("smCycles", std::move(sm_cycles));
-    body.set("aggregate", smStatsToJson(result.aggregate));
+    body.set("smCycles", encodeJson(result.smCycles));
+    body.set("aggregate", encodeJson(result.aggregate));
     Json energy = Json::object();
-    energy.set("int", energyToJson(result.intEnergy));
-    energy.set("fp", energyToJson(result.fpEnergy));
-    energy.set("sfu", energyToJson(result.sfuEnergy));
-    energy.set("ldst", energyToJson(result.ldstEnergy));
+    energy.set("int", encodeJson(result.intEnergy));
+    energy.set("fp", encodeJson(result.fpEnergy));
+    energy.set("sfu", encodeJson(result.sfuEnergy));
+    energy.set("ldst", encodeJson(result.ldstEnergy));
     body.set("energy", std::move(energy));
     doc.set("result", std::move(body));
     return doc;
@@ -588,15 +300,16 @@ parseResultDoc(const Json& doc, ResultCell& out, std::string& error)
 {
     if (!checkEnvelope(doc, "result", error))
         return false;
+    const JsonPath root("$");
     std::string technique_name;
-    if (!getString(doc, "$", "bench", out.bench, error) ||
-        !getString(doc, "$", "technique", technique_name, error))
+    if (!decodeMember(doc, root, "bench", out.bench, error) ||
+        !decodeMember(doc, root, "technique", technique_name, error))
         return false;
     if (!parseTechnique(technique_name, out.technique))
-        return failAt(error, "$.technique",
+        return failAt(error, JsonPath(root, "technique"),
                       "unknown technique '" + technique_name + "'");
     const Json* options = nullptr;
-    if (!getMember(doc, "$", "options", options, error) ||
+    if (!getMember(doc, root, "options", options, error) ||
         !fromJson(*options, out.options, error))
         return false;
 
@@ -608,66 +321,47 @@ parseResultDoc(const Json& doc, ResultCell& out, std::string& error)
     {
         std::vector<std::string> problems = out.result.config.validate();
         if (!problems.empty())
-            return failAt(error, "$.options",
+            return failAt(error, JsonPath(root, "options"),
                           "invalid configuration: " + problems.front());
     }
 
     const Json* body = nullptr;
-    if (!getMember(doc, "$", "result", body, error))
+    if (!getMember(doc, root, "result", body, error))
         return false;
-    const std::string path = "result";
-    if (!getU64(*body, path, "cycles", out.result.cycles, error) ||
-        !getU64(*body, path, "totalSmCycles", out.result.totalSmCycles,
-                error))
+    const JsonPath path("result");
+    SimResult& r = out.result;
+    if (!decodeMember(*body, path, "cycles", r.cycles, error) ||
+        !decodeMember(*body, path, "totalSmCycles", r.totalSmCycles,
+                      error) ||
+        !decodeMember(*body, path, "smCycles", r.smCycles, error))
         return false;
-    const Json* sm_cycles = nullptr;
-    if (!getArray(*body, path, "smCycles", 0, sm_cycles, error))
-        return false;
-    if (sm_cycles->items().size() != out.options.numSms)
-        return failAt(error, path + ".smCycles",
+    if (r.smCycles.size() != out.options.numSms)
+        return failAt(error, JsonPath(path, "smCycles"),
                       "length does not match options.numSms");
-    out.result.smCycles.resize(sm_cycles->items().size());
-    for (std::size_t i = 0; i < out.result.smCycles.size(); ++i)
-        if (!u64Item(*sm_cycles, path + ".smCycles", i,
-                     out.result.smCycles[i], error))
-            return false;
-    const Json* aggregate = nullptr;
-    if (!getMember(*body, path, "aggregate", aggregate, error) ||
-        !smStatsFromJson(*aggregate, path + ".aggregate",
-                         out.result.aggregate, error))
-        return false;
+    const JsonPath epath(path, "energy");
     const Json* energy = nullptr;
-    if (!getMember(*body, path, "energy", energy, error))
-        return false;
-    const Json* e = nullptr;
-    if (!getMember(*energy, path + ".energy", "int", e, error) ||
-        !energyFromJson(*e, path + ".energy.int", out.result.intEnergy,
-                        error) ||
-        !getMember(*energy, path + ".energy", "fp", e, error) ||
-        !energyFromJson(*e, path + ".energy.fp", out.result.fpEnergy,
-                        error) ||
-        !getMember(*energy, path + ".energy", "sfu", e, error) ||
-        !energyFromJson(*e, path + ".energy.sfu", out.result.sfuEnergy,
-                        error) ||
-        !getMember(*energy, path + ".energy", "ldst", e, error) ||
-        !energyFromJson(*e, path + ".energy.ldst",
-                        out.result.ldstEnergy, error))
+    if (!decodeMember(*body, path, "aggregate", r.aggregate, error) ||
+        !getMember(*body, path, "energy", energy, error) ||
+        !decodeMember(*energy, epath, "int", r.intEnergy, error) ||
+        !decodeMember(*energy, epath, "fp", r.fpEnergy, error) ||
+        !decodeMember(*energy, epath, "sfu", r.sfuEnergy, error) ||
+        !decodeMember(*energy, epath, "ldst", r.ldstEnergy, error))
         return false;
 
     // The per-type idle histograms are pure aggregations (Gpu::run
     // builds them the same way); rebuilding keeps the wire format
     // non-redundant and the two views impossible to disagree.
-    const auto& cl = out.result.aggregate.clusters;
+    const auto& cl = r.aggregate.clusters;
     for (std::size_t type = 0; type < 2; ++type) {
         if (cl[type][0].idleHist.maxBin() !=
             cl[type][1].idleHist.maxBin())
-            return failAt(error, path + ".aggregate.clusters",
+            return failAt(error, JsonPath(path, "aggregate.clusters"),
                           "cluster idleHist maxBin mismatch");
     }
-    out.result.intIdleHist = cl[0][0].idleHist;
-    out.result.intIdleHist.merge(cl[0][1].idleHist);
-    out.result.fpIdleHist = cl[1][0].idleHist;
-    out.result.fpIdleHist.merge(cl[1][1].idleHist);
+    r.intIdleHist = cl[0][0].idleHist;
+    r.intIdleHist.merge(cl[0][1].idleHist);
+    r.fpIdleHist = cl[1][0].idleHist;
+    r.fpIdleHist.merge(cl[1][1].idleHist);
     return true;
 }
 

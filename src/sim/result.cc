@@ -1,5 +1,7 @@
 #include "result.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 
 namespace wg {
@@ -98,36 +100,19 @@ SimResult::ipc() const
 void
 mergeSmStats(SmStats& into, const SmStats& sm)
 {
-    into.cycles += sm.cycles;
-    into.completed = into.completed && sm.completed;
-    for (std::size_t c = 0; c < kNumUnitClasses; ++c)
-        into.issuedByClass[c] += sm.issuedByClass[c];
-    into.issuedTotal += sm.issuedTotal;
+    // Counters sum and `completed` ANDs (mergeFields); two gauges take
+    // the max instead: the peak active-set size and the final
+    // idle-detect windows, which SMs adapt independently (the values
+    // are typically identical).
+    const std::uint32_t active_max =
+        std::max(into.activeSizeMax, sm.activeSizeMax);
+    std::array<Cycle, 2> final_idle = {};
     for (unsigned t = 0; t < 2; ++t)
-        for (unsigned c = 0; c < 2; ++c)
-            into.clusters[t][c].merge(sm.clusters[t][c]);
-    into.sfuCluster.merge(sm.sfuCluster);
-    into.sfuIssues += sm.sfuIssues;
-    into.ldstIssues += sm.ldstIssues;
-    into.sfuBusyCycles += sm.sfuBusyCycles;
-    into.ldstBusyCycles += sm.ldstBusyCycles;
-    into.activeSizeAccum += sm.activeSizeAccum;
-    if (sm.activeSizeMax > into.activeSizeMax)
-        into.activeSizeMax = sm.activeSizeMax;
-    into.prioritySwitches += sm.prioritySwitches;
-    into.wakeupRequests += sm.wakeupRequests;
-    into.memHits += sm.memHits;
-    into.memMisses += sm.memMisses;
-    into.memStores += sm.memStores;
-    into.mshrRejects += sm.mshrRejects;
-    for (unsigned t = 0; t < 2; ++t) {
-        // Report the max final idle-detect across SMs (they adapt
-        // independently; the values are typically identical).
-        if (sm.finalIdleDetect[t] > into.finalIdleDetect[t])
-            into.finalIdleDetect[t] = sm.finalIdleDetect[t];
-        into.adaptIncrements[t] += sm.adaptIncrements[t];
-        into.adaptDecrements[t] += sm.adaptDecrements[t];
-    }
+        final_idle[t] =
+            std::max(into.finalIdleDetect[t], sm.finalIdleDetect[t]);
+    mergeFields(into, sm);
+    into.activeSizeMax = active_max;
+    into.finalIdleDetect = final_idle;
 }
 
 void

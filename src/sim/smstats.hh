@@ -9,6 +9,7 @@
 #include <cstdint>
 
 #include "arch/instr.hh"
+#include "common/fields.hh"
 #include "common/histogram.hh"
 #include "common/types.hh"
 #include "pg/domain.hh"
@@ -22,14 +23,21 @@ struct ClusterStats
     std::uint64_t issues = 0;  ///< warp instructions executed
     Histogram idleHist{64};    ///< idle-period-length distribution
 
-    void
-    merge(const ClusterStats& other)
+    void merge(const ClusterStats& other) { mergeFields(*this, other); }
+
+    bool operator==(const ClusterStats&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
     {
-        pg.merge(other.pg);
-        issues += other.issues;
-        idleHist.merge(other.idleHist);
+        v("pg", &ClusterStats::pg);
+        v("issues", &ClusterStats::issues);
+        v("idleHist", &ClusterStats::idleHist);
     }
 };
+
+static_assert(visitsEveryMember<ClusterStats>());
 
 /** Everything one SM run produces. */
 struct SmStats
@@ -78,7 +86,39 @@ struct SmStats
         return static_cast<double>(activeSizeAccum) /
                static_cast<double>(cycles);
     }
+
+    bool operator==(const SmStats&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = SmStats;
+        v("cycles", &S::cycles);
+        v("completed", &S::completed);
+        v("issuedByClass", &S::issuedByClass);
+        v("issuedTotal", &S::issuedTotal);
+        v("clusters", &S::clusters);
+        v("sfuCluster", &S::sfuCluster);
+        v("sfuIssues", &S::sfuIssues);
+        v("ldstIssues", &S::ldstIssues);
+        v("sfuBusyCycles", &S::sfuBusyCycles);
+        v("ldstBusyCycles", &S::ldstBusyCycles);
+        v("activeSizeAccum", &S::activeSizeAccum);
+        v("activeSizeMax", &S::activeSizeMax);
+        v("prioritySwitches", &S::prioritySwitches);
+        v("wakeupRequests", &S::wakeupRequests);
+        v("memHits", &S::memHits);
+        v("memMisses", &S::memMisses);
+        v("memStores", &S::memStores);
+        v("mshrRejects", &S::mshrRejects);
+        v("finalIdleDetect", &S::finalIdleDetect);
+        v("adaptIncrements", &S::adaptIncrements);
+        v("adaptDecrements", &S::adaptDecrements);
+    }
 };
+
+static_assert(visitsEveryMember<SmStats>());
 
 } // namespace wg
 

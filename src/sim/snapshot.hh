@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 #include "exec/unit.hh"
 #include "mem/memsys.hh"
@@ -75,13 +76,61 @@ struct SmSnapshot
     /** Metrics section; present iff the SM had a sampler attached. */
     bool hasSampler = false;
     metrics::SamplerState sampler;
+
+    bool operator==(const SmSnapshot&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = SmSnapshot;
+        v("now", &S::now);
+        v("done", &S::done);
+        v("finishedStats", &S::finishedStats);
+        v("liveWarps", &S::liveWarps);
+        v("ldstIdleRun", &S::ldstIdleRun);
+        v("rrCluster", &S::rrCluster);
+        v("active", &S::active);
+        v("waiting", &S::waiting);
+        v("pending", &S::pending);
+        v("warps", &S::warps);
+        v("scoreboard", &S::scoreboard);
+        v("scoreboardLong", &S::scoreboardLong);
+        v("scheduler", &S::scheduler);
+        v("intUnits", &S::intUnits);
+        v("fpUnits", &S::fpUnits);
+        v("sfu", &S::sfu);
+        v("ldst", &S::ldst);
+        v("mem", &S::mem);
+        v("pg", &S::pg);
+        v("stats", &S::stats);
+        v("hasTrace", &S::hasTrace);
+        v("traceEvents", &S::traceEvents);
+        v("traceOverwritten", &S::traceOverwritten);
+        v("hasSampler", &S::hasSampler);
+        v("sampler", &S::sampler);
+    }
 };
+
+static_assert(visitsEveryMember<SmSnapshot>());
 
 /** Checkpoint of a whole-GPU run at one runUntil() boundary. */
 struct GpuSnapshot
 {
     Cycle cycle = 0;             ///< the runUntil() checkpoint cycle
     std::vector<SmSnapshot> sms; ///< one per SM, SM index order
+
+    bool operator==(const GpuSnapshot&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        v("cycle", &GpuSnapshot::cycle);
+        v("sms", &GpuSnapshot::sms);
+    }
 };
+
+static_assert(visitsEveryMember<GpuSnapshot>());
 
 } // namespace wg

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/fields.hh"
 #include "common/types.hh"
 
 namespace wg::trace {
@@ -73,7 +74,24 @@ struct Event
     std::uint8_t cluster = kNoCluster; ///< cluster index, or kNoCluster
     std::uint8_t arg = 0;          ///< kind-specific small payload
     std::uint32_t value = 0;       ///< kind-specific payload
+
+    bool operator==(const Event&) const = default;
+
+    template <class V>
+    static constexpr void
+    visitFields(V&& v)
+    {
+        using S = Event;
+        v("cycle", &S::cycle);
+        v("kind", &S::kind);
+        v("unit", &S::unit);
+        v("cluster", &S::cluster);
+        v("arg", &S::arg);
+        v("value", &S::value);
+    }
 };
+
+static_assert(visitsEveryMember<Event>());
 
 /** Printable names (stable identifiers used by every sink). */
 const char* eventKindName(EventKind kind);

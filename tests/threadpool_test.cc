@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/threadpool.hh"
@@ -114,11 +116,18 @@ TEST(ThreadPool, TryRunOneFromOutsideHelps)
 {
     ThreadPool pool(1);
     std::atomic<bool> block{true};
+    std::atomic<bool> hogging{false};
     // Occupy the single worker...
-    auto hog = pool.submit([&block] {
+    auto hog = pool.submit([&block, &hogging] {
+        hogging = true;
         while (block.load())
             std::this_thread::yield();
     });
+    // (wait until it has: were hog still queued, the worker could take
+    // the task below and leave hog to this thread, which would spin
+    // on it forever)
+    while (!hogging.load())
+        std::this_thread::yield();
     // ...then drain a queued task from the caller thread.
     std::atomic<bool> ran{false};
     auto f = pool.submit([&ran] { ran = true; });
@@ -238,6 +247,37 @@ TEST(ThreadPool, StatsReportThreadsTasksAndIdleState)
     EXPECT_EQ(after.active, 0u);
     // Steals are timing-dependent; the counter only ever grows.
     EXPECT_GE(after.steals, before.steals);
+}
+
+TEST(ThreadPool, NestedTaskTimeCountsOnce)
+{
+    // One worker: the outer task runs its children nested while it
+    // waits, so counting both the outer task's span and the children
+    // would charge the same seconds twice and push utilization past 1.
+    ThreadPool pool(1);
+    constexpr int kChildren = 4;
+    constexpr auto kChildSleep = std::chrono::milliseconds(20);
+    const auto start = std::chrono::steady_clock::now();
+    auto outer = pool.submit([&pool, kChildSleep] {
+        std::vector<std::future<void>> children;
+        for (int i = 0; i < kChildren; ++i)
+            children.push_back(pool.submit(
+                [kChildSleep] { std::this_thread::sleep_for(kChildSleep); }));
+        for (auto& child : children)
+            pool.wait(child);
+    });
+    // Block without helping, so only the pool's worker runs tasks.
+    outer.get();
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+
+    PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.tasksExecuted, 1u + kChildren);
+    EXPECT_LE(stats.busySeconds, elapsed * pool.size());
+    EXPECT_GE(stats.busySeconds,
+              kChildren * std::chrono::duration<double>(kChildSleep)
+                              .count());
 }
 
 TEST(ThreadPool, StatsSeeDrainState)

@@ -2,10 +2,7 @@
 // violating, a clean, and a suppressed fixture under
 // tests/wglint_fixtures/; the linter binary is invoked as a subprocess
 // (the same way CI runs it) so exit codes and the jsonl wire format
-// are covered, not just the checker internals. D3 fixtures are linted
-// one file at a time: the cross-file struct/function index would
-// otherwise merge the clean fixture's registrations into the violating
-// fixture's catalogue entries and mask the drift.
+// are covered, not just the checker internals.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -65,8 +62,7 @@ int
 totalRecords(const std::string& output)
 {
     return countRule(output, "D1") + countRule(output, "D2") +
-           countRule(output, "D3") + countRule(output, "D4") +
-           countRule(output, "D5") + countRule(output, "C1") +
+           countRule(output, "D4") + countRule(output, "C1") +
            countRule(output, "C2") + countRule(output, "H1");
 }
 
@@ -162,35 +158,6 @@ TEST(Wglint, D2SuppressionHonored)
     EXPECT_TRUE(run.output.empty()) << run.output;
 }
 
-TEST(Wglint, D3ViolationFiresOnBothCataloguePaths)
-{
-    auto run = lintFixture("d3_violation.cc");
-    EXPECT_EQ(run.exitCode, 1) << run.output;
-    EXPECT_EQ(countRule(run.output, "D3"), 3) << run.output;
-    // Drift on the registry side, on the merge side, and in the
-    // second declarator of a multi-declarator field line.
-    EXPECT_NE(run.output.find("appendSmStats"), std::string::npos)
-        << run.output;
-    EXPECT_NE(run.output.find("merge"), std::string::npos)
-        << run.output;
-    EXPECT_NE(run.output.find("SmStats::replays"), std::string::npos)
-        << run.output;
-}
-
-TEST(Wglint, D3CleanIsSilent)
-{
-    auto run = lintFixture("d3_clean.cc");
-    EXPECT_EQ(run.exitCode, 0) << run.output;
-    EXPECT_TRUE(run.output.empty()) << run.output;
-}
-
-TEST(Wglint, D3SuppressionHonored)
-{
-    auto run = lintFixture("d3_suppressed.cc");
-    EXPECT_EQ(run.exitCode, 0) << run.output;
-    EXPECT_TRUE(run.output.empty()) << run.output;
-}
-
 TEST(Wglint, D4ViolationFires)
 {
     auto run = lintFixture("d4_violation.cc");
@@ -258,55 +225,11 @@ TEST(Wglint, H1SuppressionHonored)
     EXPECT_TRUE(run.output.empty()) << run.output;
 }
 
-TEST(Wglint, D5ViolationFires)
-{
-    // Like D3, D5 fixtures are linted one file at a time so the
-    // cross-file index cannot merge the clean fixture's codec bodies
-    // into the violating fixture's catalogue entries.
-    auto run = lintFixture("d5_violation.cc");
-    EXPECT_EQ(run.exitCode, 1) << run.output;
-    EXPECT_EQ(countRule(run.output, "D5"), 4) << run.output;
-    // One drift per direction per field: inc lost on restore,
-    // liveWarps lost on serialize, done (a second declarator) lost
-    // both ways.
-    EXPECT_NE(run.output.find(
-                  "RngState::inc is not restored in rngStateFromJson"),
-              std::string::npos)
-        << run.output;
-    EXPECT_NE(run.output.find("SmSnapshot::liveWarps is not serialized "
-                              "in smSnapshotToJson"),
-              std::string::npos)
-        << run.output;
-    EXPECT_NE(run.output.find("SmSnapshot::done"), std::string::npos)
-        << run.output;
-    EXPECT_EQ(totalRecords(run.output), countRule(run.output, "D5"))
-        << run.output;
-}
-
-TEST(Wglint, D5CleanIsSilent)
-{
-    auto run = lintFixture("d5_clean.cc");
-    EXPECT_EQ(run.exitCode, 0) << run.output;
-    EXPECT_TRUE(run.output.empty()) << run.output;
-}
-
-TEST(Wglint, D5SuppressionHonored)
-{
-    auto run = lintFixture("d5_suppressed.cc");
-    EXPECT_EQ(run.exitCode, 0) << run.output;
-    EXPECT_TRUE(run.output.empty()) << run.output;
-}
-
 TEST(Wglint, WholeFixtureTreeFindsEveryRule)
 {
     auto run = runWglint("--format=jsonl " +
                          std::string(WGLINT_FIXTURE_DIR));
     EXPECT_EQ(run.exitCode, 1) << run.output;
-    // D5 is absent on purpose: linting the whole fixture tree merges
-    // the clean codec bodies into the same cross-file index as the
-    // violating fixture, masking the drift — which is exactly why the
-    // D3/D5 fixtures are linted one at a time. (One D3 survives the
-    // merge: PgDomainStats' member-merge drift has no clean twin.)
     for (const char* rule : {"D1", "D2", "D4", "C1", "C2", "H1"})
         EXPECT_GE(countRule(run.output, rule), 1)
             << rule << "\n" << run.output;
@@ -346,9 +269,13 @@ TEST(Wglint, ListRulesNamesEveryRule)
 {
     auto run = runWglint("--list-rules");
     EXPECT_EQ(run.exitCode, 0) << run.output;
-    for (const char* rule : {"D1", "D2", "D3", "D4", "D5", "C1", "C2",
-                             "H1"})
+    for (const char* rule : {"D1", "D2", "D4", "C1", "C2", "H1"})
         EXPECT_NE(run.output.find(rule), std::string::npos)
+            << rule << "\n" << run.output;
+    // D3/D5 (field drift) were retired: visitFields plus its arity
+    // static_assert and tests/fields_test.cc cover that contract.
+    for (const char* rule : {"D3", "D5"})
+        EXPECT_EQ(run.output.find(rule), std::string::npos)
             << rule << "\n" << run.output;
 }
 

@@ -1,246 +1,14 @@
 #include "index.hh"
 
-#include <algorithm>
-
 namespace wglint {
 
 namespace {
-
-// ---------------------------------------------------------------------
-// Catalogues
-// ---------------------------------------------------------------------
-
-/**
- * The registry catalogue: which merge/registry function must mention
- * every field of which struct. SimResult has no merge (results are
- * never summed); Histogram-typed fields are exempt from the registry
- * side (StatSet holds scalars; distributions export separately) but
- * still must be merged.
- */
-const std::vector<D3Entry> kD3Catalogue = {
-    {"PgDomainStats", "merge", true, "appendPgDomainStats"},
-    {"ClusterStats", "merge", true, "appendClusterStats"},
-    {"SmStats", "mergeSmStats", false, "appendSmStats"},
-    {"SimResult", "", false, "toStatSet"},
-};
-
-/**
- * D5 catalogue: the snapshotted state structs and the free-function
- * codec pair (serve/snapshot.cc) that must mention every field. The
- * struct and codec live in different files; the cross-file index
- * resolves both sides.
- */
-const std::vector<D5Entry> kD5Catalogue = {
-    {"RngState", "rngStateToJson", "rngStateFromJson"},
-    {"WarpSlotState", "warpSlotStateToJson", "warpSlotStateFromJson"},
-    {"SchedulerState", "schedulerStateToJson", "schedulerStateFromJson"},
-    {"Completion", "completionToJson", "completionFromJson"},
-    {"ExecUnitState", "execUnitStateToJson", "execUnitStateFromJson"},
-    {"MemSystemState", "memSystemStateToJson", "memSystemStateFromJson"},
-    {"PgDomainState", "pgDomainStateToJson", "pgDomainStateFromJson"},
-    {"AdaptiveState", "adaptiveStateToJson", "adaptiveStateFromJson"},
-    {"PgControllerState", "pgControllerStateToJson",
-     "pgControllerStateFromJson"},
-    {"EpochCounters", "epochCountersToJson", "epochCountersFromJson"},
-    {"EpochSample", "epochSampleToJson", "epochSampleFromJson"},
-    {"SamplerState", "samplerStateToJson", "samplerStateFromJson"},
-    {"Event", "traceEventToJson", "traceEventFromJson"},
-    {"SmSnapshot", "smSnapshotToJson", "smSnapshotFromJson"},
-    {"GpuSnapshot", "gpuSnapshotToJson", "gpuSnapshotFromJson"},
-    {"SnapshotIdentity", "snapshotIdentityToJson",
-     "snapshotIdentityFromJson"},
-};
-
-bool
-isCataloguedStruct(const std::string& name)
-{
-    for (const D3Entry& e : kD3Catalogue)
-        if (name == e.structName)
-            return true;
-    for (const D5Entry& e : kD5Catalogue)
-        if (name == e.structName)
-            return true;
-    return false;
-}
 
 bool
 isWgAttribute(const Token& tok)
 {
     return tok.kind == TokKind::Ident &&
            tok.text.rfind("WG_", 0) == 0;
-}
-
-// ---------------------------------------------------------------------
-// Catalogued-struct body parsing (D3/D5)
-// ---------------------------------------------------------------------
-
-/**
- * Parse one struct body (tokens between `{` at `open` and its match)
- * into fields and inline-method bodies. Heuristic, but exact for the
- * declaration style this tree uses. WG_* attribute groups
- * (WG_GUARDED_BY(mu_) and friends) are skipped so an annotated field
- * still records its declarator name, not the attribute argument.
- */
-void
-parseStructBody(const FileScan& scan, std::size_t open,
-                std::size_t end, StructInfo& info)
-{
-    const std::vector<Token>& t = scan.tokens;
-    std::size_t i = open + 1;
-    while (i + 1 < end) {
-        const Token& tok = t[i];
-        // Access specifiers: `public:` etc.
-        if (tok.kind == TokKind::Ident && i + 1 < end &&
-            t[i + 1].kind == TokKind::Punct && t[i + 1].text == ":" &&
-            (tok.text == "public" || tok.text == "private" ||
-             tok.text == "protected")) {
-            i += 2;
-            continue;
-        }
-        if (tok.kind == TokKind::Punct && tok.text == ";") {
-            ++i;
-            continue;
-        }
-        // Nested type / alias / friend: skip the whole statement.
-        if (tok.kind == TokKind::Ident &&
-            (tok.text == "struct" || tok.text == "class" ||
-             tok.text == "enum" || tok.text == "union" ||
-             tok.text == "using" || tok.text == "typedef" ||
-             tok.text == "friend" || tok.text == "static")) {
-            while (i < end && !(t[i].kind == TokKind::Punct &&
-                                t[i].text == ";")) {
-                if (t[i].kind == TokKind::Punct && t[i].text == "{")
-                    i = skipBalanced(t, i, "{", "}") - 1;
-                ++i;
-            }
-            ++i;
-            continue;
-        }
-        // Statement: walk to its end, deciding field vs function.
-        std::size_t stmtBegin = i;
-        std::string fnName;
-        bool isFunction = false;
-        while (i < end) {
-            const Token& cur = t[i];
-            if (cur.kind == TokKind::Punct && cur.text == "(" &&
-                !isFunction) {
-                // A WG_* attribute group is not a function shape.
-                if (i > stmtBegin && isWgAttribute(t[i - 1])) {
-                    i = skipBalanced(t, i, "(", ")");
-                    continue;
-                }
-                // Function (or constructor): name is the preceding
-                // identifier (operator overloads don't occur here).
-                if (i > stmtBegin &&
-                    t[i - 1].kind == TokKind::Ident)
-                    fnName = t[i - 1].text;
-                isFunction = true;
-                i = skipBalanced(t, i, "(", ")");
-                continue;
-            }
-            if (cur.kind == TokKind::Punct && cur.text == "{") {
-                std::size_t close = skipBalanced(t, i, "{", "}");
-                if (isFunction) {
-                    if (!fnName.empty()) {
-                        std::set<std::string> ids =
-                            bodyIdents(t, i, close);
-                        info.methods[fnName].insert(ids.begin(),
-                                                    ids.end());
-                    }
-                    i = close;
-                    // Inline bodies need no trailing ';'.
-                    if (i < end && t[i].kind == TokKind::Punct &&
-                        t[i].text == ";")
-                        ++i;
-                    break;
-                }
-                i = close; // brace initializer: part of the field
-                continue;
-            }
-            if (cur.kind == TokKind::Punct && cur.text == ";") {
-                ++i;
-                break;
-            }
-            ++i;
-        }
-        if (isFunction)
-            continue;
-        // Field statement. It may declare several comma-separated
-        // fields (`std::uint64_t a = 0, b = 0;`), so split on
-        // top-level commas and record one field per declarator; the
-        // shared type tokens come from the first declarator. Within a
-        // declarator the field name is the identifier right before
-        // `=`, `{`, `[` or `;` — attribute groups skipped.
-        std::vector<std::string> typeTokens;
-        bool firstDeclarator = true;
-        auto emitField = [&](std::size_t b, std::size_t e) {
-            FieldInfo field;
-            std::vector<std::string> before;
-            for (std::size_t j = b; j < e; ++j) {
-                const Token& cur = t[j];
-                if (isWgAttribute(cur) && j + 1 < e &&
-                    t[j + 1].kind == TokKind::Punct &&
-                    t[j + 1].text == "(") {
-                    j = skipBalanced(t, j + 1, "(", ")") - 1;
-                    continue;
-                }
-                if (cur.kind == TokKind::Punct &&
-                    (cur.text == "=" || cur.text == "{" ||
-                     cur.text == "[" || cur.text == ";"))
-                    break;
-                if (cur.kind == TokKind::Ident) {
-                    field.name = cur.text;
-                    field.line = cur.line;
-                }
-                before.push_back(cur.text);
-            }
-            if (field.name.empty())
-                return;
-            if (firstDeclarator) {
-                firstDeclarator = false;
-                if (!before.empty())
-                    before.pop_back(); // drop the name; rest = type
-                typeTokens = before;
-            }
-            field.typeTokens = typeTokens;
-            field.file = scan.path;
-            field.suppressed = suppressed(scan, "D3", field.line);
-            field.suppressedD5 = suppressed(scan, "D5", field.line);
-            info.fields.push_back(field);
-        };
-        // Top-level = outside (), [], {} and the type's template
-        // argument list. Angle depth is clamped at zero so comparison
-        // operators in initializers cannot push it negative.
-        int parens = 0, brackets = 0, braces = 0, angles = 0;
-        std::size_t segBegin = stmtBegin;
-        for (std::size_t j = stmtBegin; j < i; ++j) {
-            const Token& cur = t[j];
-            if (cur.kind != TokKind::Punct)
-                continue;
-            if (cur.text == "(")
-                ++parens;
-            else if (cur.text == ")")
-                parens = std::max(0, parens - 1);
-            else if (cur.text == "[")
-                ++brackets;
-            else if (cur.text == "]")
-                brackets = std::max(0, brackets - 1);
-            else if (cur.text == "{")
-                ++braces;
-            else if (cur.text == "}")
-                braces = std::max(0, braces - 1);
-            else if (cur.text == "<")
-                ++angles;
-            else if (cur.text == ">")
-                angles = std::max(0, angles - 1);
-            else if (cur.text == "," && parens == 0 &&
-                     brackets == 0 && braces == 0 && angles == 0) {
-                emitField(segBegin, j);
-                segBegin = j + 1;
-            }
-        }
-        emitField(segBegin, i);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -443,15 +211,6 @@ indexScopes(const FileScan& scan, std::size_t begin, std::size_t end,
                 ++j;
             if (j < end && t[j].text == "{") {
                 std::size_t close = skipBalanced(t, j, "{", "}");
-                if (isCataloguedStruct(name)) {
-                    StructInfo& info = index.structs[name];
-                    if (!info.seen) {
-                        info.seen = true;
-                        info.file = scan.path;
-                        info.line = tok.line;
-                        parseStructBody(scan, j, close - 1, info);
-                    }
-                }
                 indexClassBody(scan, name, j, close - 1, index);
                 i = close;
                 continue;
@@ -495,14 +254,6 @@ indexScopes(const FileScan& scan, std::size_t begin, std::size_t end,
             if (j < end && t[j].kind == TokKind::Punct &&
                 t[j].text == "{") {
                 std::size_t close = skipBalanced(t, j, "{", "}");
-                std::set<std::string> ids = bodyIdents(t, j, close);
-                if (!qualifier.empty() &&
-                    isCataloguedStruct(qualifier)) {
-                    StructInfo& info = index.structs[qualifier];
-                    info.methods[fn].insert(ids.begin(), ids.end());
-                } else {
-                    index.functions[fn].insert(ids.begin(), ids.end());
-                }
                 FunctionDef def;
                 def.name = fn;
                 def.qualifier = qualifier;
@@ -588,18 +339,6 @@ collectMutexNames(const FileScan& scan, std::set<std::string>& out)
 // Public API
 // ---------------------------------------------------------------------
 
-const std::vector<D3Entry>&
-d3Catalogue()
-{
-    return kD3Catalogue;
-}
-
-const std::vector<D5Entry>&
-d5Catalogue()
-{
-    return kD5Catalogue;
-}
-
 void
 indexFile(const FileScan& scan, FileIndex& out)
 {
@@ -610,19 +349,6 @@ indexFile(const FileScan& scan, FileIndex& out)
 void
 Index::merge(FileIndex&& fi, std::size_t scanIdx)
 {
-    for (auto& [name, si] : fi.structs) {
-        StructInfo& dst = structs[name];
-        if (!dst.seen && si.seen) {
-            dst.seen = true;
-            dst.file = si.file;
-            dst.line = si.line;
-            dst.fields = std::move(si.fields);
-        }
-        for (auto& [fn, ids] : si.methods)
-            dst.methods[fn].insert(ids.begin(), ids.end());
-    }
-    for (auto& [fn, ids] : fi.functions)
-        functions[fn].insert(ids.begin(), ids.end());
     for (auto& [name, ci] : fi.classes) {
         ClassInfo& dst = classes[name];
         dst.guardedFields.insert(ci.guardedFields.begin(),

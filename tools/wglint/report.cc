@@ -25,18 +25,10 @@ ruleHint(const std::string& rule)
     if (rule == "D2")
         return "use std::map/std::set (ordered) or copy keys into a "
                "sorted vector before iterating";
-    if (rule == "D3")
-        return "add the field to the merge() and registry functions, "
-               "or annotate the field with '// wglint:allow(D3)'";
     if (rule == "D4")
         return "registry names are '.'-separated and wire keys are "
                "camelCase; keep '_' out so the Prometheus '.'->'_' "
                "mapping stays bijective";
-    if (rule == "D5")
-        return "serialize the field in both codec halves "
-               "(xToJson/xFromJson in serve/snapshot.cc), or annotate "
-               "it with '// wglint:allow(D5)' if it is derived state "
-               "that restore() recomputes";
     if (rule == "H1")
         return "add '#pragma once' as the first directive and keep "
                "'using namespace' out of headers";
@@ -117,15 +109,9 @@ printRules(std::ostream& out)
         << "D2  no unordered_map/unordered_set iteration in "
            "result-affecting code (stats, metrics, report, trace, "
            "export, sinks, tools)\n"
-        << "D3  every field of PgDomainStats/ClusterStats/SmStats/"
-           "SimResult appears in its merge() and registry function\n"
         << "D4  metric-name literals passed to StatSet accessors and "
            "JSON keys embedded in string literals (wire frames, "
            "event log) contain no '_'\n"
-        << "D5  every field of the snapshotted state structs "
-           "(RngState, SchedulerState, SmSnapshot, ...) appears in "
-           "both halves of its serve/snapshot codec "
-           "(xToJson/xFromJson)\n"
         << "C1  no raw mutex lock()/unlock() calls outside the "
            "annotated RAII wrappers (common/thread_annotations.hh)\n"
         << "C2  a field guarded by a lock in one place (WG_GUARDED_BY "

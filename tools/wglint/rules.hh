@@ -6,8 +6,8 @@
  * read exactly one FileScan, so the driver may run them from worker
  * threads, one file per task, with no shared state.
  *
- * checkTree — the whole-tree rules (D3, D5, C1, C2 and the
- * interprocedural extension of D1). They run once, serially, after
+ * checkTree — the whole-tree rules (C1, C2 and the interprocedural
+ * extension of D1). They run once, serially, after
  * every per-file index has been merged in sorted-path order, so their
  * output is deterministic and independent of scan parallelism.
  *
@@ -37,7 +37,7 @@ namespace wglint {
 void checkFile(const FileScan& scan, std::vector<Violation>& out);
 
 /**
- * Whole-tree rules over the merged index: D3, D5, C1, C2 and — unless
+ * Whole-tree rules over the merged index: C1, C2 and — unless
  * `interprocedural` is false (`--no-interprocedural`, the v1 D1
  * behaviour) — cross-function D1 taint. `scans` must be the vector
  * the FunctionDef::scanIdx values refer to.

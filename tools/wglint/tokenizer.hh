@@ -63,8 +63,4 @@ std::size_t skipBalanced(const std::vector<Token>& t, std::size_t i,
                          const std::string& open,
                          const std::string& close);
 
-/** Collect identifier tokens in the token range [open, end). */
-std::set<std::string> bodyIdents(const std::vector<Token>& t,
-                                 std::size_t open, std::size_t end);
-
 } // namespace wglint
