@@ -1,11 +1,10 @@
 #include "json.hh"
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
-#include "metrics/exporters.hh"
-
-namespace wg::serve {
+namespace wg {
 
 namespace {
 
@@ -60,6 +59,19 @@ jsonEscape(const std::string& s)
     return out;
 }
 
+std::string
+formatMetricValue(double value)
+{
+    constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
+    if (std::isfinite(value) && value == std::floor(value) &&
+        std::fabs(value) < kMaxExactInt) {
+        return std::to_string(static_cast<long long>(value));
+    }
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+    return buf;
+}
+
 Json
 Json::null()
 {
@@ -81,7 +93,7 @@ Json::number(double v)
     Json j;
     j.kind_ = Kind::Number;
     j.num_ = v;
-    j.lexeme_ = metrics::formatMetricValue(v);
+    j.lexeme_ = formatMetricValue(v);
     return j;
 }
 
@@ -165,6 +177,12 @@ Json::find(const std::string& key) const
     return nullptr;
 }
 
+Json*
+Json::find(const std::string& key)
+{
+    return const_cast<Json*>(std::as_const(*this).find(key));
+}
+
 void
 Json::dumpTo(std::string& out) const
 {
@@ -176,8 +194,7 @@ Json::dumpTo(std::string& out) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        out += lexeme_.empty() ? metrics::formatMetricValue(num_)
-                               : lexeme_;
+        out += lexeme_.empty() ? formatMetricValue(num_) : lexeme_;
         break;
       case Kind::String:
         out += '"';
@@ -223,9 +240,9 @@ Json::dump() const
 }
 
 /**
- * Recursive-descent parser with explicit limits. Structured like the
- * metrics loader's flattener, but building the tree and keeping number
- * lexemes.
+ * Recursive-descent parser with explicit limits; builds the tree and
+ * keeps number lexemes. The depth limit also bounds the recursion, so
+ * no input can exhaust the stack.
  */
 class JsonParser
 {
@@ -523,4 +540,4 @@ Json::parse(const std::string& text, Json& out, std::string& error,
     return JsonParser(text, limits).run(out, error);
 }
 
-} // namespace wg::serve
+} // namespace wg

@@ -1,32 +1,36 @@
 /**
  * @file
- * Minimal JSON document model for the serving wire format.
+ * The project's one JSON module: a document model with a strict
+ * parser, the string escape, and the deterministic number format.
  *
- * The metrics loader only needs to *flatten* numeric leaves; the wire
- * format needs the full tree back (schema version checks, nested
- * result blocks, request routing), so this module keeps a real DOM.
+ * Every JSON reader uses Json::parse — the serving wire format and
+ * snapshots, the metrics loader behind wgreport, wgtrace. Every JSON
+ * writer either builds a Json tree (result exports, wire documents) or,
+ * on the streaming hot paths (trace sink, wgmetrics jsonl lines, stream
+ * frames, event log), emits fixed keys by hand and escapes every
+ * caller-supplied string through jsonEscape.
  *
  * Determinism contract: numbers remember their source lexeme, so
  * parse -> serialize reproduces the input bytes for any number the
  * simulator emits, and programmatically-built numbers are formatted
- * with metrics::formatMetricValue (integers exactly, doubles with
- * round-trip precision). Object members keep insertion order; two
- * builds of the same document therefore serialize byte-identically.
+ * with formatMetricValue (integers exactly, doubles with round-trip
+ * precision). Object members keep insertion order; two builds of the
+ * same document therefore serialize byte-identically.
  *
  * Parsing never aborts: every malformed input — truncated documents,
- * wrong types, oversized fields — comes back as an error string, which
- * the protocol layer turns into a clean error response.
+ * wrong types, oversized fields, nesting past the depth limit — comes
+ * back as an error string, which each caller turns into a clean error
+ * (a protocol error response, exit status 2).
  */
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-namespace wg::serve {
+namespace wg {
 
 /** Hard input limits; exceeding any of them is a parse error. */
 struct JsonLimits
@@ -90,6 +94,7 @@ class Json
 
     /** @return the member, or nullptr when absent. */
     const Json* find(const std::string& key) const;
+    Json* find(const std::string& key);
 
     /** Serialize compactly (no whitespace). */
     std::string dump() const;
@@ -120,4 +125,11 @@ class Json
 /** Escape @p s for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string& s);
 
-} // namespace wg::serve
+/**
+ * Deterministic number formatting: integral values (|v| < 2^53) print
+ * without a decimal point, everything else with round-trip (%.17g)
+ * precision, so parse(format(v)) == v exactly.
+ */
+std::string formatMetricValue(double value);
+
+} // namespace wg

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "metrics/exporters.hh"
+#include "common/json.hh"
 
 namespace wg::metrics {
 
@@ -40,16 +40,20 @@ compareStatSets(const StatSet& base, const StatSet& test,
         d.onlyInTest = !base.has(name);
         d.base = base.get(name);
         d.test = test.get(name);
-        d.delta = d.test - d.base;
-        d.rel = d.base != 0.0 ? d.delta / std::fabs(d.base) : 0.0;
+        // NaN on both sides is unchanged; NaN on one side compares
+        // false against every bound below, so it is beyond tolerance.
+        const bool same = d.base == d.test ||
+                          (std::isnan(d.base) && std::isnan(d.test));
+        d.delta = same ? 0.0 : d.test - d.base;
+        d.rel = same || d.base == 0.0 ? 0.0 : d.delta / std::fabs(d.base);
 
         if (d.onlyInBase || d.onlyInTest) {
             // Structural drift: a metric appeared or vanished.
             d.beyondTolerance = true;
-        } else if (std::fabs(d.delta) > opts.absTol) {
+        } else if (!(std::fabs(d.delta) <= opts.absTol)) {
             double tol = toleranceFor(name, opts);
             d.beyondTolerance = d.base != 0.0
-                                    ? std::fabs(d.rel) > tol
+                                    ? !(std::fabs(d.rel) <= tol)
                                     : true; // zero baseline moved
         }
 

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "common/histogram.hh"
+#include "common/json.hh"
 #include "common/stats.hh"
 #include "metrics/sampler.hh"
 
@@ -38,12 +39,8 @@ const char* metricsFormatName(MetricsFormat format);
 /** Parse a --metrics-format value. @return false when unknown. */
 bool parseMetricsFormat(const std::string& name, MetricsFormat& out);
 
-/**
- * Deterministic number formatting: integral values (|v| < 2^53) print
- * without a decimal point, everything else with round-trip (%.17g)
- * precision, so load(export(set)) == set exactly.
- */
-std::string formatMetricValue(double value);
+// The benchmark program (perfbench/) names wg::metrics::formatMetricValue.
+using wg::formatMetricValue;
 
 /**
  * Serialise @p set (and, for csv/jsonl, @p collector's epoch series)

@@ -1,222 +1,32 @@
 #include "loader.hh"
 
-#include <cctype>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 
-#include "common/logging.hh"
+#include "common/json.hh"
 
 namespace wg::metrics {
 
 namespace {
 
-/**
- * Minimal recursive-descent JSON reader, just enough for the wgsim
- * result documents and the wgmetrics JSONL lines. Numeric/boolean
- * leaves are emitted into a StatSet under dotted keys; strings and
- * nulls parse but emit nothing.
- */
-class JsonFlattener
+/** Add @p j's numeric and boolean leaves under dotted @p key. */
+void
+flatten(const Json& j, const std::string& key, StatSet& out)
 {
-  public:
-    JsonFlattener(const std::string& text, StatSet& out)
-        : text_(text), out_(out)
-    {
-    }
-
-    bool
-    run(std::string& error)
-    {
-        pos_ = 0;
-        if (!value("")) {
-            error = error_.empty() ? "malformed JSON" : error_;
-            return false;
-        }
-        skipWs();
-        if (pos_ != text_.size()) {
-            error = "trailing content after JSON document";
-            return false;
-        }
-        return true;
-    }
-
-  private:
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    fail(const std::string& what)
-    {
-        error_ = what + " at offset " + std::to_string(pos_);
-        return false;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    parseString(std::string& out)
-    {
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    return fail("bad escape");
-                char e = text_[pos_++];
-                switch (e) {
-                  case '"': out += '"'; break;
-                  case '\\': out += '\\'; break;
-                  case '/': out += '/'; break;
-                  case 'n': out += '\n'; break;
-                  case 't': out += '\t'; break;
-                  case 'r': out += '\r'; break;
-                  case 'b': out += '\b'; break;
-                  case 'f': out += '\f'; break;
-                  case 'u':
-                    // Registry names are ASCII; keep the raw escape.
-                    if (pos_ + 4 > text_.size())
-                        return fail("bad \\u escape");
-                    out += "\\u" + text_.substr(pos_, 4);
-                    pos_ += 4;
-                    break;
-                  default: return fail("bad escape");
-                }
-            } else {
-                out += c;
-            }
-        }
-        return fail("unterminated string");
-    }
-
-    bool
-    value(const std::string& key)
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            return fail("unexpected end of input");
-        char c = text_[pos_];
-        if (c == '{')
-            return object(key);
-        if (c == '[')
-            return array(key);
-        if (c == '"') {
-            std::string ignored;
-            return parseString(ignored);
-        }
-        if (text_.compare(pos_, 4, "true") == 0) {
-            pos_ += 4;
-            if (!key.empty())
-                out_.set(key, 1.0);
-            return true;
-        }
-        if (text_.compare(pos_, 5, "false") == 0) {
-            pos_ += 5;
-            if (!key.empty())
-                out_.set(key, 0.0);
-            return true;
-        }
-        if (text_.compare(pos_, 4, "null") == 0) {
-            pos_ += 4;
-            return true;
-        }
-        return number(key);
-    }
-
-    bool
-    number(const std::string& key)
-    {
-        const char* start = text_.c_str() + pos_;
-        char* end = nullptr;
-        double v = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected a value");
-        pos_ += static_cast<std::size_t>(end - start);
-        if (!key.empty())
-            out_.set(key, v);
-        return true;
-    }
-
-    bool
-    object(const std::string& prefix)
-    {
-        if (!consume('{'))
-            return false;
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == '}') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            std::string name;
-            skipWs();
-            if (!parseString(name))
-                return false;
-            if (!consume(':'))
-                return false;
-            std::string key =
-                prefix.empty() ? name : prefix + "." + name;
-            if (!value(key))
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-    bool
-    array(const std::string& prefix)
-    {
-        if (!consume('['))
-            return false;
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        std::size_t index = 0;
-        for (;;) {
-            std::string key = prefix.empty()
-                                  ? std::to_string(index)
-                                  : prefix + "." +
-                                        std::to_string(index);
-            if (!value(key))
-                return false;
-            ++index;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return consume(']');
-        }
-    }
-
-    const std::string& text_;
-    StatSet& out_;
-    std::size_t pos_ = 0;
-    std::string error_;
-};
+    const std::string prefix = key.empty() ? key : key + ".";
+    if (j.isNumber())
+        out.set(key, j.asDouble());
+    else if (j.isBool())
+        out.set(key, j.asBool() ? 1.0 : 0.0);
+    // Strings and nulls carry no metric; items()/members() are empty
+    // unless j is an array/object.
+    for (std::size_t i = 0; i < j.items().size(); ++i)
+        flatten(j.items()[i], prefix + std::to_string(i), out);
+    for (const auto& [name, v] : j.members())
+        flatten(v, prefix + name, out);
+}
 
 /** Dotted registry name from a Prometheus sample name. */
 std::string
@@ -313,7 +123,16 @@ parseJsonl(const std::string& content, StatSet& out, std::string& error)
 bool
 flattenJson(const std::string& json, StatSet& out, std::string& error)
 {
-    return JsonFlattener(json, out).run(error);
+    // Files on disk are not network input: only the depth limit (which
+    // keeps the recursive parser off the stack's edge) applies.
+    JsonLimits limits;
+    limits.maxStringBytes = SIZE_MAX;
+    limits.maxContainerItems = SIZE_MAX;
+    Json doc;
+    if (!Json::parse(json, doc, error, limits))
+        return false;
+    flatten(doc, "", out);
+    return true;
 }
 
 bool
@@ -341,19 +160,21 @@ parseStatSet(const std::string& content, StatSet& out,
     return parseProm(content, out, error);
 }
 
-StatSet
-loadStatSet(const std::string& path)
+bool
+loadStatSet(const std::string& path, StatSet& out, std::string& error)
 {
     std::ifstream in(path);
-    if (!in)
-        fatal("cannot open '", path, "' for reading");
+    if (!in) {
+        error = "cannot open '" + path + "' for reading";
+        return false;
+    }
     std::ostringstream buf;
     buf << in.rdbuf();
-    StatSet out;
-    std::string error;
-    if (!parseStatSet(buf.str(), out, error))
-        fatal("cannot parse '", path, "': ", error);
-    return out;
+    if (!parseStatSet(buf.str(), out, error)) {
+        error = "cannot parse '" + path + "': " + error;
+        return false;
+    }
+    return true;
 }
 
 } // namespace wg::metrics

@@ -30,14 +30,21 @@ namespace wg::metrics {
 bool parseStatSet(const std::string& content, StatSet& out,
                   std::string& error);
 
-/** Load @p path; fatal() on I/O or parse failure. */
-StatSet loadStatSet(const std::string& path);
+/**
+ * Load @p path into @p out.
+ * @return false (with @p error naming the file) when the file cannot
+ *         be read or parsed.
+ */
+bool loadStatSet(const std::string& path, StatSet& out,
+                 std::string& error);
 
 /**
- * Flatten one JSON document: every numeric (or boolean) leaf becomes
- * `a.b.c` -> value; array elements use their index as the key
- * component. Strings and nulls are ignored.
- * @return false (with @p error set) on malformed JSON.
+ * Flatten one JSON document (Json::parse, then a walk of the tree):
+ * every numeric (or boolean) leaf becomes `a.b.c` -> value; array
+ * elements use their index as the key component. Strings and nulls are
+ * ignored.
+ * @return false (with @p error set) on malformed JSON, including
+ *         nesting past JsonLimits::maxDepth.
  */
 bool flattenJson(const std::string& json, StatSet& out,
                  std::string& error);

@@ -1,76 +1,47 @@
 #include "export.hh"
 
+#include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <sstream>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "metrics/registry.hh"
 
 namespace wg {
 
 namespace {
 
-/** Escape a string for a JSON literal. */
-std::string
-jsonEscape(const std::string& s)
+Json
+histogramJson(const Histogram& h)
 {
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out += c;
-        }
-    }
+    Json bins = Json::array();
+    for (std::uint64_t b = 0; b <= h.maxBin(); ++b)
+        bins.append(Json::number(h.bin(b)));
+    Json out = Json::object();
+    out.set("bins", std::move(bins));
+    out.set("overflow", Json::number(h.overflow()));
+    out.set("total", Json::number(h.total()));
+    out.set("sum", Json::number(h.sum()));
     return out;
 }
 
+/** Set the member at dotted @p path, creating objects on the way. */
 void
-jsonHistogram(std::ostringstream& os, const Histogram& h)
+setPath(Json& root, const std::string& path, Json value)
 {
-    os << "{\"bins\":[";
-    for (std::uint64_t b = 0; b <= h.maxBin(); ++b) {
-        if (b)
-            os << ',';
-        os << h.bin(b);
+    Json* node = &root;
+    std::size_t start = 0;
+    for (std::size_t dot = path.find('.'); dot != std::string::npos;
+         dot = path.find('.', start)) {
+        const std::string key = path.substr(start, dot - start);
+        if (node->find(key) == nullptr)
+            node->set(key, Json::object());
+        node = node->find(key);
+        start = dot + 1;
     }
-    os << "],\"overflow\":" << h.overflow() << ",\"total\":" << h.total()
-       << ",\"sum\":" << h.sum() << "}";
-}
-
-void
-jsonTypeStats(std::ostringstream& os, const PgDomainStats& s)
-{
-    os << "{\"busy\":" << s.busyCycles << ",\"idle_on\":" << s.idleOnCycles
-       << ",\"uncomp\":" << s.uncompCycles << ",\"comp\":" << s.compCycles
-       << ",\"wakeup_cycles\":" << s.wakeupCycles
-       << ",\"gating_events\":" << s.gatingEvents
-       << ",\"wakeups\":" << s.wakeups
-       << ",\"uncomp_wakeups\":" << s.uncompWakeups
-       << ",\"critical_wakeups\":" << s.criticalWakeups << "}";
-}
-
-void
-jsonEnergy(std::ostringstream& os, const UnitEnergy& e)
-{
-    os << "{\"dynamic_j\":" << e.dynamicE << ",\"static_j\":" << e.staticE
-       << ",\"overhead_j\":" << e.overheadE
-       << ",\"static_saved_j\":" << e.staticSaved
-       << ",\"static_no_pg_j\":" << e.staticNoPg
-       << ",\"savings_ratio\":" << e.staticSavingsRatio() << "}";
-}
-
-double
-busyFraction(const SimResult& r, UnitClass uc)
-{
-    if (r.totalSmCycles == 0)
-        return 0.0;
-    return static_cast<double>(r.typeStats(uc).busyCycles) /
-           (2.0 * static_cast<double>(r.totalSmCycles));
+    node->set(path.substr(start), std::move(value));
 }
 
 } // namespace
@@ -106,42 +77,7 @@ csvSchema()
 const std::vector<ExportField>&
 jsonSchema()
 {
-    auto type_block = [](const std::string& json_type,
-                         const std::string& reg_type) {
-        std::vector<ExportField> fields = {
-            {json_type + ".stats.busy", "gpu.pg." + reg_type + ".busyCycles"},
-            {json_type + ".stats.idle_on",
-             "gpu.pg." + reg_type + ".idleOnCycles"},
-            {json_type + ".stats.uncomp",
-             "gpu.pg." + reg_type + ".uncompCycles"},
-            {json_type + ".stats.comp",
-             "gpu.pg." + reg_type + ".compCycles"},
-            {json_type + ".stats.wakeup_cycles",
-             "gpu.pg." + reg_type + ".wakeupCycles"},
-            {json_type + ".stats.gating_events",
-             "gpu.pg." + reg_type + ".gatingEvents"},
-            {json_type + ".stats.wakeups",
-             "gpu.pg." + reg_type + ".wakeups"},
-            {json_type + ".stats.uncomp_wakeups",
-             "gpu.pg." + reg_type + ".uncompWakeups"},
-            {json_type + ".stats.critical_wakeups",
-             "gpu.pg." + reg_type + ".criticalWakeups"},
-            {json_type + ".energy.dynamic_j",
-             "gpu.energy." + reg_type + ".dynamicJ"},
-            {json_type + ".energy.static_j",
-             "gpu.energy." + reg_type + ".staticJ"},
-            {json_type + ".energy.overhead_j",
-             "gpu.energy." + reg_type + ".overheadJ"},
-            {json_type + ".energy.static_saved_j",
-             "gpu.energy." + reg_type + ".staticSavedJ"},
-            {json_type + ".energy.static_no_pg_j",
-             "gpu.energy." + reg_type + ".staticNoPgJ"},
-            {json_type + ".energy.savings_ratio",
-             "gpu.energy." + reg_type + ".savingsRatio"},
-        };
-        return fields;
-    };
-    static const std::vector<ExportField> schema = [&type_block] {
+    static const std::vector<ExportField> schema = [] {
         std::vector<ExportField> s = {
             {"config.adaptive", "config.adaptive"},
             {"config.idle_detect", "config.idleDetect"},
@@ -154,10 +90,35 @@ jsonSchema()
             {"avg_active_warps", "gpu.avgActiveWarps"},
             {"instructions", "gpu.instructions"},
         };
-        for (const auto& f : type_block("int", "int"))
-            s.push_back(f);
-        for (const auto& f : type_block("fp", "fp"))
-            s.push_back(f);
+        // Per unit type: <type>.stats.* from gpu.pg.<type>.* and
+        // <type>.energy.* from gpu.energy.<type>.*.
+        const ExportField kStats[] = {
+            {"busy", "busyCycles"},
+            {"idle_on", "idleOnCycles"},
+            {"uncomp", "uncompCycles"},
+            {"comp", "compCycles"},
+            {"wakeup_cycles", "wakeupCycles"},
+            {"gating_events", "gatingEvents"},
+            {"wakeups", "wakeups"},
+            {"uncomp_wakeups", "uncompWakeups"},
+            {"critical_wakeups", "criticalWakeups"},
+        };
+        const ExportField kEnergy[] = {
+            {"dynamic_j", "dynamicJ"},
+            {"static_j", "staticJ"},
+            {"overhead_j", "overheadJ"},
+            {"static_saved_j", "staticSavedJ"},
+            {"static_no_pg_j", "staticNoPgJ"},
+            {"savings_ratio", "savingsRatio"},
+        };
+        for (const std::string type : {"int", "fp"}) {
+            for (const ExportField& f : kStats)
+                s.push_back({type + ".stats." + f.column,
+                             "gpu.pg." + type + "." + f.metric});
+            for (const ExportField& f : kEnergy)
+                s.push_back({type + ".energy." + f.column,
+                             "gpu.energy." + type + "." + f.metric});
+        }
         return s;
     }();
     return schema;
@@ -178,62 +139,38 @@ csvHeader()
 std::string
 toCsvRow(const std::string& label, const SimResult& r)
 {
-    PgDomainStats si = r.typeStats(UnitClass::Int);
-    PgDomainStats sf = r.typeStats(UnitClass::Fp);
-    std::ostringstream os;
-    os << label << ','
-       << schedulerPolicyName(r.config.sm.scheduler) << ','
-       << pgPolicyName(r.config.sm.pg.policy) << ','
-       << (r.config.sm.pg.adaptiveIdleDetect ? 1 : 0) << ','
-       << r.config.numSms << ',' << r.cycles << ',' << r.ipc() << ','
-       << r.aggregate.avgActiveWarps() << ','
-       << busyFraction(r, UnitClass::Int) << ','
-       << busyFraction(r, UnitClass::Fp) << ','
-       << r.intEnergy.staticSavingsRatio() << ','
-       << r.fpEnergy.staticSavingsRatio() << ',' << si.wakeups << ','
-       << sf.wakeups << ',' << si.criticalWakeups << ','
-       << sf.criticalWakeups << ',' << si.gatingEvents << ','
-       << sf.gatingEvents << ',' << r.aggregate.memMisses;
-    return os.str();
+    // The three identification columns lead csvSchema(); every other
+    // column is a registry value.
+    const StatSet stats = metrics::toStatSet(r);
+    std::string row = label + ',' +
+                      schedulerPolicyName(r.config.sm.scheduler) + ',' +
+                      pgPolicyName(r.config.sm.pg.policy);
+    for (const ExportField& f : csvSchema()) {
+        if (!f.metric.empty())
+            row += ',' + formatMetricValue(stats.get(f.metric));
+    }
+    return row;
 }
 
 std::string
 toJson(const std::string& label, const SimResult& r)
 {
-    std::ostringstream os;
-    os << "{\n  \"label\": \"" << jsonEscape(label) << "\",\n";
-    os << "  \"config\": {\"scheduler\": \""
-       << schedulerPolicyName(r.config.sm.scheduler)
-       << "\", \"pg_policy\": \"" << pgPolicyName(r.config.sm.pg.policy)
-       << "\", \"adaptive\": "
-       << (r.config.sm.pg.adaptiveIdleDetect ? "true" : "false")
-       << ", \"idle_detect\": " << r.config.sm.pg.idleDetect
-       << ", \"break_even\": " << r.config.sm.pg.breakEven
-       << ", \"wakeup_delay\": " << r.config.sm.pg.wakeupDelay
-       << ", \"num_sms\": " << r.config.numSms << "},\n";
-    os << "  \"cycles\": " << r.cycles << ",\n";
-    os << "  \"total_sm_cycles\": " << r.totalSmCycles << ",\n";
-    os << "  \"ipc\": " << r.ipc() << ",\n";
-    os << "  \"avg_active_warps\": " << r.aggregate.avgActiveWarps()
-       << ",\n";
-    os << "  \"instructions\": " << r.aggregate.issuedTotal << ",\n";
-
-    os << "  \"int\": {\"stats\": ";
-    jsonTypeStats(os, r.typeStats(UnitClass::Int));
-    os << ", \"energy\": ";
-    jsonEnergy(os, r.intEnergy);
-    os << ", \"idle_histogram\": ";
-    jsonHistogram(os, r.intIdleHist);
-    os << "},\n";
-
-    os << "  \"fp\": {\"stats\": ";
-    jsonTypeStats(os, r.typeStats(UnitClass::Fp));
-    os << ", \"energy\": ";
-    jsonEnergy(os, r.fpEnergy);
-    os << ", \"idle_histogram\": ";
-    jsonHistogram(os, r.fpIdleHist);
-    os << "}\n}";
-    return os.str();
+    const StatSet stats = metrics::toStatSet(r);
+    Json doc = Json::object();
+    doc.set("label", Json::string(label));
+    setPath(doc, "config.scheduler",
+            Json::string(schedulerPolicyName(r.config.sm.scheduler)));
+    setPath(doc, "config.pg_policy",
+            Json::string(pgPolicyName(r.config.sm.pg.policy)));
+    setPath(doc, "config.adaptive",
+            Json::boolean(r.config.sm.pg.adaptiveIdleDetect));
+    for (const ExportField& f : jsonSchema()) {
+        if (f.column != "config.adaptive") // the boolean above
+            setPath(doc, f.column, Json::number(stats.get(f.metric)));
+    }
+    setPath(doc, "int.idle_histogram", histogramJson(r.intIdleHist));
+    setPath(doc, "fp.idle_histogram", histogramJson(r.fpIdleHist));
+    return doc.dump();
 }
 
 void
@@ -267,6 +204,22 @@ printSummary(std::ostream& os, const std::string& label,
        << ", avg active warps "
        << Table::num(r.aggregate.avgActiveWarps(), 1) << ", mem misses "
        << r.aggregate.memMisses << "\n\n";
+}
+
+void
+appendCsv(const std::string& path, const std::string& rows)
+{
+    std::error_code ec;
+    const auto size = std::filesystem::file_size(path, ec);
+    const bool fresh = ec || size == 0;
+    std::ofstream out(path, std::ios::app);
+    if (!out)
+        fatal("cannot open '", path, "' for appending");
+    if (fresh)
+        out << csvHeader() << '\n';
+    out << rows;
+    if (!out)
+        fatal("write to '", path, "' failed");
 }
 
 void

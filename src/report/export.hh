@@ -2,6 +2,11 @@
  * @file
  * Machine-readable result export: CSV rows and JSON documents for
  * downstream analysis (plotting scripts, regression tracking).
+ *
+ * Both exports walk their column table (csvSchema/jsonSchema) and read
+ * each value from the metrics registry (metrics::toStatSet), printing
+ * it with formatMetricValue: integers exactly, doubles at round-trip
+ * precision.
  */
 
 #pragma once
@@ -52,9 +57,9 @@ std::string csvHeader();
 std::string toCsvRow(const std::string& label, const SimResult& result);
 
 /**
- * JSON document for @p result: configuration summary, headline metrics,
- * per-type gating statistics, energy ledgers, and the idle-period
- * histograms (bins 0..maxBin plus overflow).
+ * Compact JSON document for @p result: configuration summary, headline
+ * metrics, per-type gating statistics, energy ledgers, and the
+ * idle-period histograms (bins 0..maxBin plus overflow).
  */
 std::string toJson(const std::string& label, const SimResult& result);
 
@@ -65,6 +70,14 @@ std::string toJson(const std::string& label, const SimResult& result);
  */
 void printSummary(std::ostream& os, const std::string& label,
                   const SimResult& result);
+
+/**
+ * Append @p rows (newline-terminated toCsvRow lines) to the CSV file
+ * @p path, writing csvHeader() first only when the file is new or
+ * empty, so repeated runs into one file keep a single header.
+ * fatal() on I/O failure.
+ */
+void appendCsv(const std::string& path, const std::string& rows);
 
 /** Write @p content to @p path; fatal() on I/O failure. */
 void writeFile(const std::string& path, const std::string& content);

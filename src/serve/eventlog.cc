@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "serve/json.hh"
+#include "common/json.hh"
 
 namespace wg::serve {
 

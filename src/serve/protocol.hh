@@ -33,7 +33,7 @@
 #include <string>
 
 #include "serve/jobs.hh"
-#include "serve/json.hh"
+#include "common/json.hh"
 
 namespace wg::serve {
 

@@ -38,8 +38,14 @@
 
 #include <string>
 
+#include "common/json.hh"
 #include "core/experiment.hh"
-#include "serve/json.hh"
+
+// The benchmark program (perfbench/) names wg::serve::Json and JsonLimits.
+namespace wg::serve {
+using wg::Json;
+using wg::JsonLimits;
+} // namespace wg::serve
 
 namespace wg::serve::wire {
 

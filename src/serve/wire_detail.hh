@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "common/fields.hh"
-#include "serve/json.hh"
+#include "common/json.hh"
 #include "sim/result.hh"
 #include "sim/snapshot.hh"
 

@@ -77,6 +77,29 @@ TEST(Export, JsonEscapesLabel)
     EXPECT_NE(json.find("we\\\"ird\\\\label"), std::string::npos);
 }
 
+TEST(Export, CsvAppendsWithOneHeader)
+{
+    SimResult r = smallResult();
+    const std::string path = ::testing::TempDir() + "/wg_export_append.csv";
+    std::remove(path.c_str());
+    const std::string first = toCsvRow("first", r) + "\n";
+    const std::string second = toCsvRow("second", r) + "\n";
+    appendCsv(path, first);  // a new file gets the header
+    appendCsv(path, second); // a non-empty one does not
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    EXPECT_EQ(ss.str(), csvHeader() + "\n" + first + second);
+
+    writeFile(path, ""); // an empty file counts as new
+    appendCsv(path, first);
+    std::ifstream again(path);
+    std::stringstream ss2;
+    ss2 << again.rdbuf();
+    EXPECT_EQ(ss2.str(), csvHeader() + "\n" + first);
+    std::remove(path.c_str());
+}
+
 TEST(Export, WriteFileRoundTrip)
 {
     std::string path = ::testing::TempDir() + "/wg_export_test.csv";

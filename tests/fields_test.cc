@@ -297,9 +297,9 @@ TEST(Fields, ResultDocRoundTripIsExact)
     const std::string bytes =
         serve::wire::resultDoc("hotspot", Technique::WarpedGates, opts, r)
             .dump();
-    serve::Json doc;
+    Json doc;
     std::string error;
-    ASSERT_TRUE(serve::Json::parse(bytes, doc, error)) << error;
+    ASSERT_TRUE(Json::parse(bytes, doc, error)) << error;
     serve::wire::ResultCell cell;
     ASSERT_TRUE(serve::wire::parseResultDoc(doc, cell, error)) << error;
     EXPECT_TRUE(cell.result.aggregate == r.aggregate);
@@ -315,11 +315,11 @@ parseGpuSnapshot(const GpuSnapshot& snap)
 {
     const std::string bytes =
         serve::wire::gpuSnapshotToJson(snap).dump();
-    serve::Json doc;
+    Json doc;
     std::string error;
     GpuSnapshot out;
-    EXPECT_TRUE(serve::Json::parse(bytes, doc, error,
-                                   serve::wire::snapshotJsonLimits()))
+    EXPECT_TRUE(Json::parse(bytes, doc, error,
+                            serve::wire::snapshotJsonLimits()))
         << error;
     EXPECT_TRUE(serve::wire::gpuSnapshotFromJson(doc, "snapshot", out,
                                                  error))

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -57,14 +56,6 @@ splitCsv(const std::string& line)
     }
 }
 
-/** The exports print ~6 significant digits; compare accordingly. */
-void
-expectClose(double exported, double registry, const std::string& what)
-{
-    double scale = std::max(1.0, std::fabs(registry));
-    EXPECT_NEAR(exported, registry, 1e-4 * scale) << what;
-}
-
 TEST(ExportSchema, CsvHeaderIsGeneratedFromSchema)
 {
     std::string expected;
@@ -95,9 +86,10 @@ TEST(ExportSchema, CsvRowMatchesRegistry)
             << "csv column '" << schema[i].column
             << "' maps to unknown registry name '" << schema[i].metric
             << "'";
-        expectClose(std::strtod(cells[i].c_str(), nullptr),
-                    registry.get(schema[i].metric),
-                    schema[i].column + " vs " + schema[i].metric);
+        // Round-trip formatting: the cell reads back exactly.
+        EXPECT_EQ(std::strtod(cells[i].c_str(), nullptr),
+                  registry.get(schema[i].metric))
+            << schema[i].column << " vs " << schema[i].metric;
     }
 }
 
@@ -117,8 +109,8 @@ TEST(ExportSchema, JsonKeysMatchRegistry)
         ASSERT_TRUE(registry.has(f.metric))
             << "json key '" << f.column
             << "' maps to unknown registry name '" << f.metric << "'";
-        expectClose(flat.get(f.column), registry.get(f.metric),
-                    f.column + " vs " + f.metric);
+        EXPECT_EQ(flat.get(f.column), registry.get(f.metric))
+            << f.column << " vs " << f.metric;
     }
 }
 

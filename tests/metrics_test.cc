@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -25,6 +27,8 @@
 #include "metrics/sampler.hh"
 #include "sim/gpu.hh"
 #include "trace/recorder.hh"
+
+#include <sys/wait.h>
 
 namespace wg {
 namespace {
@@ -313,12 +317,12 @@ TEST(Registry, NamesNeverContainUnderscores)
 
 TEST(Exporters, FormatMetricValueIsLosslessAndCompact)
 {
-    EXPECT_EQ(metrics::formatMetricValue(3.0), "3");
-    EXPECT_EQ(metrics::formatMetricValue(-17.0), "-17");
-    EXPECT_EQ(metrics::formatMetricValue(0.0), "0");
+    EXPECT_EQ(formatMetricValue(3.0), "3");
+    EXPECT_EQ(formatMetricValue(-17.0), "-17");
+    EXPECT_EQ(formatMetricValue(0.0), "0");
     // Non-integral doubles round-trip exactly through strtod.
     for (double v : {0.1, 1.0 / 3.0, 2.5e-7, 123456.789}) {
-        std::string s = metrics::formatMetricValue(v);
+        std::string s = formatMetricValue(v);
         EXPECT_EQ(std::strtod(s.c_str(), nullptr), v) << s;
     }
 }
@@ -523,6 +527,47 @@ TEST(Loader, RejectsMalformedInput)
     std::string error;
     EXPECT_FALSE(metrics::flattenJson("{\"a\": ", set, error));
     EXPECT_FALSE(error.empty());
+    // Values a metric must never silently read as: NaN, hex, a sign
+    // JSON does not allow, and a key that appears twice.
+    for (const char* bad : {"{\"a\": nan}", "{\"a\": 0x10}", "{\"a\": +1}",
+                            "{\"a\": 1, \"a\": 2}"}) {
+        StatSet s;
+        EXPECT_FALSE(metrics::parseStatSet(bad, s, error)) << bad;
+    }
+}
+
+TEST(Loader, DeepDocumentIsADepthErrorNotACrash)
+{
+    const std::string deep = "{\"a\":" + std::string(300000, '[');
+    StatSet set;
+    std::string error;
+    EXPECT_FALSE(metrics::parseStatSet(deep, set, error));
+    EXPECT_NE(error.find("depth"), std::string::npos) << error;
+}
+
+/** Exit status of wgreport on @p args (-1 when it did not exit). */
+int
+runWgreport(const std::string& args)
+{
+    const std::string cmd = std::string(WGREPORT_BINARY) + " " + args +
+                            " --quiet >/dev/null 2>&1";
+    const int status = std::system(cmd.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(Loader, WgreportExitsTwoOnUnparseableInput)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string ok = dir + "wgreport_ok.json";
+    const std::string deep = dir + "wgreport_deep.json";
+    const std::string bad = dir + "wgreport_bad.json";
+    std::ofstream(ok) << "{\"a\": 1}";
+    std::ofstream(deep) << "{\"a\":" << std::string(300000, '[');
+    std::ofstream(bad) << "{\"a\": nan}";
+    EXPECT_EQ(runWgreport(ok + " " + ok), 0);
+    EXPECT_EQ(runWgreport(ok + " " + deep), 2);
+    EXPECT_EQ(runWgreport(ok + " " + bad), 2);
+    EXPECT_EQ(runWgreport(ok + " " + dir + "wgreport_missing.json"), 2);
 }
 
 // ---- comparison engine ----
@@ -613,6 +658,27 @@ TEST(Compare, PerMetricToleranceOverridesGlobal)
     EXPECT_EQ(rep.regressions, 1u);
     for (const metrics::MetricDelta& d : rep.deltas)
         EXPECT_EQ(d.beyondTolerance, d.name == "strict") << d.name;
+}
+
+TEST(Compare, NanOnOneSideIsARegression)
+{
+    // Prom and CSV inputs parse values with strtod, so NaN can arrive.
+    const double nan = std::nan("");
+    StatSet base, test;
+    base.set("both", nan);
+    test.set("both", nan);
+    base.set("baseOnly", nan);
+    test.set("baseOnly", 1.0);
+    base.set("testOnly", 1.0);
+    test.set("testOnly", nan);
+    metrics::CompareOptions opts;
+    opts.relTol = 1e9; // no tolerance excuses a NaN
+    metrics::CompareReport rep =
+        metrics::compareStatSets(base, test, opts);
+    EXPECT_EQ(rep.changed, 2u);
+    EXPECT_EQ(rep.regressions, 2u);
+    for (const metrics::MetricDelta& d : rep.deltas)
+        EXPECT_EQ(d.beyondTolerance, d.name != "both") << d.name;
 }
 
 TEST(Compare, AbsoluteFloorAbsorbsFpNoise)

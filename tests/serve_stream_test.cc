@@ -518,10 +518,10 @@ TEST(EventLog, WritesValidJsonlWithFieldsAndMonotonicTimestamps)
     ASSERT_EQ(lines.size(), 2u);
     std::uint64_t prev = 0;
     for (const std::string& line : lines) {
-        serve::Json doc;
-        ASSERT_TRUE(serve::Json::parse(line, doc, error))
+        Json doc;
+        ASSERT_TRUE(Json::parse(line, doc, error))
             << error << ": " << line;
-        const serve::Json* tMs = doc.find("tMs");
+        const Json* tMs = doc.find("tMs");
         ASSERT_NE(tMs, nullptr);
         ASSERT_TRUE(tMs->isNumber());
         EXPECT_GE(tMs->asU64(), prev);
@@ -529,11 +529,11 @@ TEST(EventLog, WritesValidJsonlWithFieldsAndMonotonicTimestamps)
         ASSERT_NE(doc.find("level"), nullptr);
         ASSERT_NE(doc.find("event"), nullptr);
     }
-    serve::Json doc;
-    ASSERT_TRUE(serve::Json::parse(lines[0], doc, error));
+    Json doc;
+    ASSERT_TRUE(Json::parse(lines[0], doc, error));
     EXPECT_EQ(doc.find("tMs")->asU64(), 42u); // relative to open()
     EXPECT_EQ(doc.find("id")->asString(), "j1");
-    ASSERT_TRUE(serve::Json::parse(lines[1], doc, error));
+    ASSERT_TRUE(Json::parse(lines[1], doc, error));
     EXPECT_EQ(doc.find("reason")->asString(), "queue \"full\"");
 }
 

@@ -31,7 +31,6 @@
 namespace wg {
 namespace {
 
-using serve::Json;
 
 std::string
 goldenPath(const std::string& name)

@@ -149,5 +149,16 @@ TEST(Wgtrace, VersionTwoRejectWithoutAttemptsIsMalformed)
     EXPECT_EQ(run.exitCode, 2) << run.output;
 }
 
+TEST(Wgtrace, TrailingGarbageInANumberIsMalformed)
+{
+    trace::Collector collector = makeCollector();
+    std::string text = jsonl(collector);
+    text += "{\"sm\":0,\"cycle\":5x,\"kind\":\"issue\",\"warp\":1}\n";
+    const ToolRun run = runWgtrace(writeFile("garbage.jsonl", text));
+    EXPECT_EQ(run.exitCode, 2) << run.output;
+    EXPECT_NE(run.output.find("malformed"), std::string::npos)
+        << run.output;
+}
+
 } // namespace
 } // namespace wg

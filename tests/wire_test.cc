@@ -1,8 +1,9 @@
 /**
  * @file
  * Wire-format tests: golden-pinned document shapes, lossless
- * round-trips, schema-version rejection, and a malformed-input corpus
- * that must produce clean errors (never aborts).
+ * round-trips, schema-version rejection, and documents of the wrong
+ * shape that must produce clean errors (never aborts). The JSON model
+ * itself is tested in json_test.
  *
  * Golden files live in tests/golden/. To regenerate after an
  * intentional schema change (bump wire::kSchemaVersion!):
@@ -18,14 +19,12 @@
 #include "core/experiment.hh"
 #include "metrics/registry.hh"
 #include "report/export.hh"
-#include "serve/json.hh"
 #include "serve/snapshot.hh"
 #include "serve/wire.hh"
 
 namespace {
 
 using namespace wg;
-using serve::Json;
 
 std::string
 goldenPath(const std::string& name)
@@ -302,64 +301,6 @@ TEST(WireVersion, WrongTypeIsRejected)
         << error;
 }
 
-/** Raw text that must fail Json::parse with a clean error. */
-TEST(WireMalformed, ParserRejectsBadText)
-{
-    const char* kBad[] = {
-        "",
-        "{",
-        "{\"a\":",
-        "{\"a\":1,}",
-        "[1,2",
-        "\"unterminated",
-        "{\"a\" 1}",
-        "nul",
-        "truely",
-        "01",
-        "1.",
-        ".5",
-        "+1",
-        "0x10",
-        "1e",
-        "NaN",
-        "Infinity",
-        "{\"a\":1}{\"b\":2}",
-        "{\"dup\":1,\"dup\":2}",
-        "\"bad escape \\q\"",
-        "\"half surrogate \\ud800\"",
-        "\xff\xfe",
-    };
-    for (const char* text : kBad) {
-        Json out;
-        std::string error;
-        EXPECT_FALSE(Json::parse(text, out, error))
-            << "accepted: " << text;
-        EXPECT_FALSE(error.empty());
-    }
-}
-
-TEST(WireMalformed, LimitsAreEnforced)
-{
-    std::string deep;
-    for (int i = 0; i < 100; ++i)
-        deep += "[";
-    Json out;
-    std::string error;
-    EXPECT_FALSE(Json::parse(deep, out, error));
-    EXPECT_NE(error.find("depth"), std::string::npos) << error;
-
-    std::string big_string =
-        "\"" + std::string((1 << 16) + 1, 'x') + "\"";
-    EXPECT_FALSE(Json::parse(big_string, out, error));
-
-    std::ostringstream many;
-    many << "[";
-    for (int i = 0; i <= (1 << 16); ++i)
-        many << (i != 0 ? ",1" : "1");
-    many << "]";
-    EXPECT_FALSE(Json::parse(many.str(), out, error));
-}
-
 /** Structurally valid JSON that must fail document parsing. */
 TEST(WireMalformed, DocumentsRejectWrongShapes)
 {
@@ -463,25 +404,6 @@ TEST(WireMalformed, ResultDocRejectsCorruption)
                   std::string::npos)
             << error;
     }
-}
-
-TEST(WireNumbers, LexemesSurviveRoundTrip)
-{
-    const char* kNumbers[] = {
-        "0",  "-1", "18446744073709551615", "9007199254740993",
-        "1e3", "0.5", "-0.25", "1.7976931348623157e308",
-    };
-    for (const char* n : kNumbers) {
-        Json out;
-        std::string error;
-        ASSERT_TRUE(Json::parse(n, out, error)) << n << ": " << error;
-        EXPECT_EQ(out.dump(), n);
-    }
-    // 2^64-1 survives exactly through asU64 (doubles would round).
-    Json big;
-    std::string error;
-    ASSERT_TRUE(Json::parse("18446744073709551615", big, error));
-    EXPECT_EQ(big.asU64(), 18446744073709551615ull);
 }
 
 TEST(WireCanonicalKey, DistinguishesSpecs)

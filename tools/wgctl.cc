@@ -68,8 +68,10 @@ constexpr FlagSpec kFlags[] = {
     {"timeout-sec", FlagKind::Int, "600",
      "deadline for --wait / drain / slow responses"},
     {"quiet", FlagKind::Bool, "", "suppress the human-readable summary"},
-    {"csv", FlagKind::String, "", "append CSV rows to this file"},
-    {"json", FlagKind::String, "", "write a JSON report to this file"},
+    {"csv", FlagKind::String, "",
+     "append CSV rows to this file (header only when new or empty)"},
+    {"json", FlagKind::String, "",
+     "write a JSON report to this file (single-cell results only)"},
     {"metrics", FlagKind::String, "",
      "write the final metric registry (jsonl) to this file "
      "(single-cell results only; wgreport-comparable)"},
@@ -147,38 +149,37 @@ buildSpec(const ArgParser& args, SweepSpec& spec)
 
 /**
  * Print/export fetched cells exactly as wgsim does for an offline run
- * of the same sweep: per-cell summary, CSV rows, JSON of the last
- * cell, metrics registry of the only cell.
+ * of the same sweep: per-cell summary, appended CSV rows, and the JSON
+ * report and metrics registry of the only cell.
  */
 int
 emitCells(const ArgParser& args,
           const std::vector<serve::wire::ResultCell>& cells)
 {
-    std::ostringstream csv;
-    csv << csvHeader() << "\n";
-    std::string json;
+    std::string csv;
     for (const serve::wire::ResultCell& cell : cells) {
         if (!args.getBool("quiet"))
             printSummary(std::cout, cell.bench, cell.result);
-        csv << toCsvRow(cell.bench, cell.result) << "\n";
-        json = toJson(cell.bench, cell.result);
+        csv += toCsvRow(cell.bench, cell.result) + "\n";
     }
     if (args.given("csv")) {
-        writeFile(args.getString("csv"), csv.str());
-        inform("wrote ", args.getString("csv"));
+        appendCsv(args.getString("csv"), csv);
+        inform("appended to ", args.getString("csv"));
     }
-    if (args.given("json") && !json.empty()) {
-        writeFile(args.getString("json"), json);
+    if ((args.given("json") || args.given("metrics")) &&
+        cells.size() != 1) {
+        std::fprintf(stderr,
+                     "wgctl: --json/--metrics export one cell per file; "
+                     "this job has %zu\n",
+                     cells.size());
+        return 1;
+    }
+    if (args.given("json")) {
+        writeFile(args.getString("json"),
+                  toJson(cells[0].bench, cells[0].result));
         inform("wrote ", args.getString("json"));
     }
     if (args.given("metrics")) {
-        if (cells.size() != 1) {
-            std::fprintf(stderr,
-                         "wgctl: --metrics exports one cell per file; "
-                         "this job has %zu\n",
-                         cells.size());
-            return 1;
-        }
         StatSet registry = metrics::toStatSet(cells[0].result);
         metrics::writeMetricsFile(args.getString("metrics"), nullptr,
                                   registry,
@@ -342,9 +343,9 @@ main(int argc, char** argv)
             std::string text;
             if (!readFile(args.getString("resume"), text))
                 return fail("cannot read " + args.getString("resume"));
-            serve::Json doc;
+            Json doc;
             std::uint64_t seeded = 0;
-            if (!serve::Json::parse(text, doc, error))
+            if (!Json::parse(text, doc, error))
                 return fail(args.getString("resume") + ": " + error);
             if (!client.submitSnapshot(
                     doc, static_cast<unsigned>(args.getInt("priority")),
@@ -406,7 +407,7 @@ main(int argc, char** argv)
     if (command == "checkpoint") {
         if (!args.given("id"))
             return fail("checkpoint requires --id");
-        serve::Json snapshot;
+        Json snapshot;
         if (!client.checkpoint(args.getString("id"), snapshot, error))
             return fail(error);
         const std::string text = snapshot.dump() + "\n";
@@ -433,7 +434,7 @@ main(int argc, char** argv)
         Table table("wgservd gauges");
         table.header({"stat", "value"});
         for (const auto& [name, value] : stats)
-            table.row({name, metrics::formatMetricValue(value)});
+            table.row({name, formatMetricValue(value)});
         table.print();
         return 0;
     }

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "common/json.hh"
+
 namespace wglint {
 
 bool
@@ -44,34 +46,6 @@ ruleHint(const std::string& rule)
     return "";
 }
 
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            // Any remaining control byte (stray \f, raw bytes < 0x20
-            // leaking out of scanned source) must be \u-escaped or
-            // the jsonl record is invalid JSON.
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char* kHex = "0123456789abcdef";
-                out += "\\u00";
-                out += kHex[(static_cast<unsigned char>(c) >> 4) & 0xf];
-                out += kHex[static_cast<unsigned char>(c) & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
 void
 printReport(std::ostream& out,
             const std::vector<Violation>& violations,
@@ -79,11 +53,11 @@ printReport(std::ostream& out,
 {
     for (const Violation& v : violations) {
         if (format == "jsonl") {
-            out << "{\"rule\":\"" << jsonEscape(v.rule)
-                << "\",\"file\":\"" << jsonEscape(v.file)
+            out << "{\"rule\":\"" << wg::jsonEscape(v.rule)
+                << "\",\"file\":\"" << wg::jsonEscape(v.file)
                 << "\",\"line\":" << v.line << ",\"message\":\""
-                << jsonEscape(v.message) << "\",\"hint\":\""
-                << jsonEscape(v.hint) << "\"}\n";
+                << wg::jsonEscape(v.message) << "\",\"hint\":\""
+                << wg::jsonEscape(v.hint) << "\"}\n";
         } else {
             out << v.file << ":" << v.line << ": [" << v.rule << "] "
                 << v.message << "\n    hint: " << v.hint << "\n";

@@ -12,7 +12,9 @@
  *   wgreport baseline.jsonl fresh.jsonl --tol 1e-6     # FP headroom
  *   wgreport a.prom b.prom --tol-metric gpu.ipc=0.02
  *
- * Exit codes: 0 within tolerance, 1 regression(s), 2 usage error.
+ * Exit codes: 0 within tolerance, 1 regression(s), 2 usage error or
+ * an input file that cannot be read or parsed (malformed or too deeply
+ * nested JSON, a metrics file without its final section).
  */
 
 #include <cstdio>
@@ -104,8 +106,14 @@ main(int argc, char** argv)
 
     const std::string& base_path = args.positional()[0];
     const std::string& test_path = args.positional()[1];
-    StatSet base = metrics::loadStatSet(base_path);
-    StatSet test = metrics::loadStatSet(test_path);
+    StatSet base;
+    StatSet test;
+    std::string error;
+    if (!metrics::loadStatSet(base_path, base, error) ||
+        !metrics::loadStatSet(test_path, test, error)) {
+        std::fprintf(stderr, "wgreport: %s\n", error.c_str());
+        return 2;
+    }
 
     metrics::CompareReport report =
         metrics::compareStatSets(base, test, opts);

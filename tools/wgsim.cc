@@ -96,8 +96,10 @@ constexpr FlagSpec kFlags[] = {
     {"no-fastforward", FlagKind::Bool, "",
      "disable the event-horizon fast-forward and step every cycle "
      "(bit-identical results, slower; for cross-checking)"},
-    {"csv", FlagKind::String, "", "append CSV rows to this file"},
-    {"json", FlagKind::String, "", "write a JSON report to this file"},
+    {"csv", FlagKind::String, "",
+     "append CSV rows to this file (header only when new or empty)"},
+    {"json", FlagKind::String, "",
+     "write a JSON report to this file (single benchmark only)"},
     {"list", FlagKind::Bool, "", "list the benchmark suite and exit"},
     {"quiet", FlagKind::Bool, "", "suppress the human-readable summary"},
     {"serial", FlagKind::Bool, "",
@@ -238,10 +240,10 @@ main(int argc, char** argv)
                          path.c_str());
             return 2;
         }
-        serve::Json doc;
+        Json doc;
         std::string error;
-        if (!serve::Json::parse(text, doc, error,
-                                serve::wire::snapshotJsonLimits()) ||
+        if (!Json::parse(text, doc, error,
+                         serve::wire::snapshotJsonLimits()) ||
             !serve::wire::parseSnapshotDoc(doc, ident, resume_snap,
                                            error)) {
             std::fprintf(stderr, "wgsim: %s: %s\n", path.c_str(),
@@ -289,10 +291,10 @@ main(int argc, char** argv)
         return 2;
     }
     const bool tracing = args.given("trace");
-    if (tracing && benches.size() != 1) {
+    if ((tracing || args.given("json")) && benches.size() != 1) {
         std::fprintf(stderr,
-                     "--trace records one benchmark per file; pick a "
-                     "single --bench\n");
+                     "--trace/--json record one benchmark per file; "
+                     "pick a single --bench\n");
         return 2;
     }
     trace::RecorderConfig trace_config;
@@ -317,9 +319,6 @@ main(int argc, char** argv)
     metrics::Collector mcollector;
     metrics::Collector* mets =
         (metering || profiling) ? &mcollector : nullptr;
-
-    std::ostringstream csv;
-    csv << csvHeader() << "\n";
 
     // Schedule every benchmark's simulation on the shared pool (each
     // one additionally fans its per-SM jobs into the same pool), then
@@ -385,25 +384,25 @@ main(int argc, char** argv)
         results = pool->waitAll(futures);
     }
 
-    std::string json;
+    std::string csv;
     for (std::size_t i = 0; i < benches.size(); ++i) {
         const std::string& bench = benches[i];
         const SimResult& r = results[i];
         if (!args.getBool("quiet"))
             printSummary(std::cout, bench, r);
-        csv << toCsvRow(bench, r) << "\n";
-        json = toJson(bench, r); // JSON export keeps the last result
+        csv += toCsvRow(bench, r) + "\n";
     }
 
     {
         metrics::PhaseTimers::Scope timer(
             profiling ? &mcollector.profile : nullptr, "export");
         if (args.given("csv")) {
-            writeFile(args.getString("csv"), csv.str());
-            inform("wrote ", args.getString("csv"));
+            appendCsv(args.getString("csv"), csv);
+            inform("appended to ", args.getString("csv"));
         }
-        if (args.given("json") && !json.empty()) {
-            writeFile(args.getString("json"), json);
+        if (args.given("json")) {
+            writeFile(args.getString("json"),
+                      toJson(benches[0], results[0]));
             inform("wrote ", args.getString("json"));
         }
         if (tracing) {

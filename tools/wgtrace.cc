@@ -24,13 +24,16 @@
  *   wgtrace --check t.jsonl
  */
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <type_traits>
 
 #include "arch/instr.hh"
 #include "common/args.hh"
+#include "common/json.hh"
 #include "trace/check.hh"
 #include "trace/sink.hh"
 
@@ -39,44 +42,30 @@ namespace {
 using namespace wg;
 
 /**
- * Pull the raw token after `"key":` out of a flat single-level JSON
- * object (the only shape the JSONL sink emits). Quoted values are
- * returned without their quotes. @return false when the key is absent.
+ * Member @p key of @p obj into @p out: a string, a boolean, or a
+ * non-negative integer narrowed to the field's type. @return false
+ * (leaving @p out alone) when absent or of another JSON type.
  */
+template <class T>
 bool
-findRaw(const std::string& line, const std::string& key, std::string& out)
+get(const Json& obj, const char* key, T& out)
 {
-    const std::string needle = "\"" + key + "\":";
-    std::size_t pos = line.find(needle);
-    if (pos == std::string::npos)
+    const Json* v = obj.find(key);
+    if (v == nullptr)
         return false;
-    pos += needle.size();
-    if (pos >= line.size())
-        return false;
-    if (line[pos] == '"') {
-        std::size_t end = line.find('"', pos + 1);
-        if (end == std::string::npos)
+    if constexpr (std::is_same_v<T, std::string>) {
+        if (!v->isString())
             return false;
-        out = line.substr(pos + 1, end - pos - 1);
-        return true;
-    }
-    std::size_t end = line.find_first_of(",}", pos);
-    if (end == std::string::npos)
-        return false;
-    out = line.substr(pos, end - pos);
-    return true;
-}
-
-bool
-findU64(const std::string& line, const std::string& key, std::uint64_t& out)
-{
-    std::string raw;
-    if (!findRaw(line, key, raw))
-        return false;
-    try {
-        out = std::stoull(raw);
-    } catch (...) {
-        return false;
+        out = v->asString();
+    } else if constexpr (std::is_same_v<T, bool>) {
+        if (!v->isBool())
+            return false;
+        out = v->asBool();
+    } else {
+        const double d = v->asDouble();
+        if (!v->isNumber() || d < 0.0 || d != std::floor(d))
+            return false;
+        out = static_cast<T>(v->asU64());
     }
     return true;
 }
@@ -104,39 +93,30 @@ parseWarpLoc(const std::string& name)
     return -1;
 }
 
+/** Read the `{"meta":{...}}` first line. @return false otherwise. */
 bool
 parseMeta(const std::string& line, trace::Meta& meta)
 {
-    std::string s;
-    std::uint64_t v = 0;
-    if (findU64(line, "version", v))
-        meta.version = static_cast<std::uint32_t>(v);
-    if (!findRaw(line, "policy", meta.policy))
+    Json doc;
+    std::string error;
+    if (!Json::parse(line, doc, error))
         return false;
-    if (!findRaw(line, "scheduler", meta.scheduler))
+    const Json* m = doc.find("meta");
+    if (m == nullptr || !get(*m, "policy", meta.policy) ||
+        !get(*m, "scheduler", meta.scheduler))
         return false;
-    if (findU64(line, "sms", v))
-        meta.numSms = static_cast<std::uint32_t>(v);
-    if (findU64(line, "idleDetect", v))
-        meta.idleDetect = v;
-    if (findU64(line, "breakEven", v))
-        meta.breakEven = v;
-    if (findU64(line, "wakeupDelay", v))
-        meta.wakeupDelay = v;
-    if (findRaw(line, "adaptive", s))
-        meta.adaptive = s == "true";
-    if (findU64(line, "idleDetectMin", v))
-        meta.idleDetectMin = v;
-    if (findU64(line, "idleDetectMax", v))
-        meta.idleDetectMax = v;
-    if (findU64(line, "epochLength", v))
-        meta.epochLength = v;
-    if (findU64(line, "criticalThreshold", v))
-        meta.criticalThreshold = static_cast<std::uint32_t>(v);
-    if (findU64(line, "decrementEpochs", v))
-        meta.decrementEpochs = static_cast<std::uint32_t>(v);
-    if (findRaw(line, "gateSfu", s))
-        meta.gateSfu = s == "true";
+    get(*m, "version", meta.version);
+    get(*m, "sms", meta.numSms);
+    get(*m, "idleDetect", meta.idleDetect);
+    get(*m, "breakEven", meta.breakEven);
+    get(*m, "wakeupDelay", meta.wakeupDelay);
+    get(*m, "adaptive", meta.adaptive);
+    get(*m, "idleDetectMin", meta.idleDetectMin);
+    get(*m, "idleDetectMax", meta.idleDetectMax);
+    get(*m, "epochLength", meta.epochLength);
+    get(*m, "criticalThreshold", meta.criticalThreshold);
+    get(*m, "decrementEpochs", meta.decrementEpochs);
+    get(*m, "gateSfu", meta.gateSfu);
     return true;
 }
 
@@ -145,95 +125,67 @@ parseMeta(const std::string& line, trace::Meta& meta)
  * malformed line (diagnostic printed by the caller).
  */
 bool
-parseEventLine(const std::string& line, std::uint32_t version, SmId& sm,
+parseEventLine(const Json& line, std::uint32_t version, SmId& sm,
                trace::Event& e)
 {
-    std::uint64_t v = 0;
     std::string s;
-    if (!findU64(line, "sm", v))
-        return false;
-    sm = static_cast<SmId>(v);
-    if (!findU64(line, "cycle", v) || !findRaw(line, "kind", s))
-        return false;
     e = trace::Event{};
-    e.cycle = v;
-    if (!trace::parseEventKind(s.c_str(), e.kind))
+    if (!get(line, "sm", sm) || !get(line, "cycle", e.cycle) ||
+        !get(line, "kind", s) || !trace::parseEventKind(s.c_str(), e.kind))
         return false;
-
-    if (findRaw(line, "unit", s) && !parseUnitClass(s, e.unit))
+    if (get(line, "unit", s) && !parseUnitClass(s, e.unit))
         return false;
-    if (findU64(line, "cluster", v))
-        e.cluster = static_cast<std::uint8_t>(v);
+    get(line, "cluster", e.cluster);
 
     switch (e.kind) {
       case trace::EventKind::Gate: {
         trace::GateReason reason;
-        if (!findRaw(line, "reason", s) ||
+        if (!get(line, "reason", s) ||
             !trace::parseGateReason(s.c_str(), reason))
             return false;
         e.arg = static_cast<std::uint8_t>(reason);
-        if (findU64(line, "actv", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
+        get(line, "actv", e.value);
+        return true;
       }
       case trace::EventKind::Wakeup: {
         trace::WakeReason reason;
-        if (!findRaw(line, "reason", s) ||
+        if (!get(line, "reason", s) ||
             !trace::parseWakeReason(s.c_str(), reason))
             return false;
         e.arg = static_cast<std::uint8_t>(reason);
-        break;
+        return true;
       }
       case trace::EventKind::BetExpire:
-        if (findU64(line, "held", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
+        get(line, "held", e.value);
+        return true;
       case trace::EventKind::EpochUpdate:
-        if (!findU64(line, "criticals", v))
-            return false;
-        e.arg = static_cast<std::uint8_t>(v);
-        if (!findU64(line, "window", v))
-            return false;
-        e.value = static_cast<std::uint32_t>(v);
-        break;
+        return get(line, "criticals", e.arg) &&
+               get(line, "window", e.value);
       case trace::EventKind::WarpMigrate: {
-        if (!findRaw(line, "loc", s))
-            return false;
-        int loc = parseWarpLoc(s);
+        const int loc = get(line, "loc", s) ? parseWarpLoc(s) : -1;
         if (loc < 0)
             return false;
         e.arg = static_cast<std::uint8_t>(loc);
-        if (findU64(line, "warp", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
+        get(line, "warp", e.value);
+        return true;
       }
       case trace::EventKind::Issue:
       case trace::EventKind::GreedySwitch:
-        if (findU64(line, "warp", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
+        get(line, "warp", e.value);
+        return true;
       case trace::EventKind::UnitBusy:
-        if (findU64(line, "idleRun", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
+        get(line, "idleRun", e.value);
+        return true;
       case trace::EventKind::MshrFill:
       case trace::EventKind::MshrDrain:
-        if (findU64(line, "outstanding", v))
-            e.value = static_cast<std::uint32_t>(v);
-        break;
+        get(line, "outstanding", e.value);
+        return true;
       case trace::EventKind::MshrReject:
-        if (version < 2) {
-            e.value = 1; // version 1: one line per refused attempt
-            break;
-        }
-        if (!findU64(line, "attempts", v))
-            return false;
-        e.value = static_cast<std::uint32_t>(v);
-        break;
+        e.value = 1; // version 1: one line per refused attempt
+        return version < 2 || get(line, "attempts", e.value);
       default:
-        break;
+        return true;
     }
-    return true;
 }
 
 /** The whole command line, declaratively (drives parsing and --help). */
@@ -295,16 +247,17 @@ main(int argc, char** argv)
         ++line_no;
         if (line.empty())
             continue;
+        Json doc;
+        std::string error;
         std::uint64_t lost = 0;
         SmId sm = 0;
-        std::uint64_t sm_raw = 0;
-        if (findU64(line, "truncated", lost) &&
-            findU64(line, "sm", sm_raw)) {
-            checker.noteTruncated(static_cast<SmId>(sm_raw), lost);
+        const bool parsed = Json::parse(line, doc, error);
+        if (parsed && get(doc, "truncated", lost) && get(doc, "sm", sm)) {
+            checker.noteTruncated(sm, lost);
             continue;
         }
         trace::Event e;
-        if (!parseEventLine(line, meta.version, sm, e)) {
+        if (!parsed || !parseEventLine(doc, meta.version, sm, e)) {
             if (++bad_lines <= 5)
                 std::fprintf(stderr, "wgtrace: %s:%llu: malformed line\n",
                              path.c_str(),
