@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
 """Gate BENCH_micro_sim_throughput.json against the committed baseline.
 
-Compares only machine-independent *ratio* metrics, so the gate is
-robust across runner hardware generations:
+Compares only machine-independent metrics, so the gate is robust
+across runner hardware generations:
 
   fastforward.<profile>.ff_speedup   (event-horizon speedup, off/on)
   sm_cycles_per_sec.<tech> / sm_cycles_per_sec.Baseline
                                      (per-technique throughput relative
                                       to Baseline on the same host)
+  trace.events                       (events one traced hotspot SM
+                                      records: deterministic, so exact)
 
 Absolute times (off_ms/on_ms) and cycles/sec vary with the host and are
 reported but never gated. Exits non-zero when any gated ratio drops
-more than --max-drop (default 10%) below the baseline, or when a
-section present in the baseline is missing from the new run.
+more than --max-drop (default 10%) below the baseline, when
+trace.events differs from the baseline at all, or when a section
+present in the baseline is missing from the new run. The trace section
+must always be present: BM_TraceOverheadHotspot fails its "tracing off
+slower than on" check by erroring, which drops its run and so the
+section.
 """
 
 import argparse
@@ -87,6 +93,26 @@ def main() -> int:
             failures.append(
                 f"sm_cycles_per_sec.{tech}/Baseline regressed: "
                 f"{got:.3f} < {floor:.3f} ({want:.3f} - {args.max_drop:.0%})")
+
+    # Event trace: a missing section means BM_TraceOverheadHotspot did
+    # not run or failed its check. The event count is a pure function
+    # of the hotspot SM 0 simulation, so any change is a regression.
+    base_trace = base.get("trace")
+    cur_trace = cur.get("trace")
+    if cur_trace is None:
+        failures.append("trace: missing from current run "
+                        "(BM_TraceOverheadHotspot failed or did not run)")
+    elif base_trace is None or "events" not in base_trace:
+        failures.append("baseline has no trace.events to gate on")
+    else:
+        want = base_trace["events"]
+        got = cur_trace.get("events")
+        status = "OK" if got == want else "FAIL"
+        print(f"trace.events: baseline {want} current {got} "
+              f"(exact) [{status}]")
+        if got != want:
+            failures.append(
+                f"trace.events changed: {got} != {want} (gated exactly)")
 
     for msg in failures:
         print(f"REGRESSION: {msg}", file=sys.stderr)

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "arch/instr.hh"
@@ -16,37 +17,44 @@
 namespace wg {
 
 /**
- * Immutable instruction sequence executed by one warp. Also caches the
- * per-class instruction counts for workload-characterisation reports
- * (Fig. 5a).
+ * Immutable instruction sequence executed by one warp, held by a
+ * shared handle: copying a Program copies a pointer, so every warp of
+ * a CTA references one instruction vector. Also caches the per-class
+ * instruction counts for workload-characterisation reports (Fig. 5a),
+ * computed once at construction.
  */
 class Program
 {
   public:
+    /** An empty program; allocates nothing. */
     Program() = default;
 
     /** Build from an instruction vector. */
     explicit Program(std::vector<Instruction> instrs);
 
     /** @return instruction at @p pc (pc < size()). */
-    const Instruction& at(std::size_t pc) const { return instrs_[pc]; }
+    const Instruction& at(std::size_t pc) const { return body_->instrs[pc]; }
 
     /** @return number of instructions. */
-    std::size_t size() const { return instrs_.size(); }
+    std::size_t size() const { return body_ ? body_->instrs.size() : 0; }
 
     /** @return true when the program has no instructions. */
-    bool empty() const { return instrs_.empty(); }
+    bool empty() const { return size() == 0; }
 
     /** @return count of instructions of unit class @p uc. */
     std::size_t countOf(UnitClass uc) const;
 
-    /** @return the raw instruction vector. */
-    const std::vector<Instruction>& instructions() const { return instrs_; }
+    /** @return the raw instruction vector, shared by every copy. */
+    const std::vector<Instruction>& instructions() const;
 
   private:
-    std::vector<Instruction> instrs_;
-    std::array<std::size_t, kNumUnitClasses> class_counts_ = {};
+    struct Body
+    {
+        std::vector<Instruction> instrs;
+        std::array<std::size_t, kNumUnitClasses> classCounts = {};
+    };
+
+    std::shared_ptr<const Body> body_;
 };
 
 } // namespace wg
-

@@ -31,12 +31,18 @@ appendUtf8(std::string& out, std::uint32_t cp)
 
 } // namespace
 
-std::string
-jsonEscape(const std::string& s)
+void
+appendJsonEscaped(std::string& out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
+    // Characters that need no escape are appended a run at a time, so
+    // a plain key costs one append.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
@@ -45,17 +51,23 @@ jsonEscape(const std::string& s)
           case '\r': out += "\\r"; break;
           case '\b': out += "\\b"; break;
           case '\f': out += "\\f"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                static const char* kHex = "0123456789abcdef";
-                out += "\\u00";
-                out += kHex[(c >> 4) & 0xF];
-                out += kHex[c & 0xF];
-            } else {
-                out += c;
-            }
+          default: {
+            static const char* kHex = "0123456789abcdef";
+            out += "\\u00";
+            out += kHex[(c >> 4) & 0xF];
+            out += kHex[c & 0xF];
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+std::string
+jsonEscape(const std::string& s)
+{
+    std::string out;
+    out.reserve(s.size());
+    appendJsonEscaped(out, s);
     return out;
 }
 
@@ -194,11 +206,14 @@ Json::dumpTo(std::string& out) const
         out += bool_ ? "true" : "false";
         break;
       case Kind::Number:
-        out += lexeme_.empty() ? formatMetricValue(num_) : lexeme_;
+        if (lexeme_.empty())
+            out += formatMetricValue(num_);
+        else
+            out += lexeme_;
         break;
       case Kind::String:
         out += '"';
-        out += jsonEscape(str_);
+        appendJsonEscaped(out, str_);
         out += '"';
         break;
       case Kind::Array: {
@@ -221,7 +236,7 @@ Json::dumpTo(std::string& out) const
                 out += ',';
             first = false;
             out += '"';
-            out += jsonEscape(k);
+            appendJsonEscaped(out, k);
             out += "\":";
             v.dumpTo(out);
         }
@@ -325,15 +340,28 @@ class JsonParser
         while (pos_ < text_.size()) {
             if (out.size() > limits_.maxStringBytes)
                 return fail("string exceeds size limit");
+            // Append the run up to the next quote, escape or control
+            // character in bulk. The run stops one byte past the size
+            // limit, so the check above fails at the same offset as a
+            // byte-at-a-time scan would.
+            const std::size_t room = limits_.maxStringBytes - out.size();
+            const std::size_t stop = room < text_.size() - pos_
+                                         ? pos_ + room + 1
+                                         : text_.size();
+            std::size_t end = pos_;
+            while (end < stop && text_[end] != '"' && text_[end] != '\\' &&
+                   static_cast<unsigned char>(text_[end]) >= 0x20)
+                ++end;
+            if (end != pos_) {
+                out.append(text_, pos_, end - pos_);
+                pos_ = end;
+                continue;
+            }
             char c = text_[pos_++];
             if (c == '"')
                 return true;
             if (static_cast<unsigned char>(c) < 0x20)
                 return fail("unescaped control character");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 return fail("bad escape");
             char e = text_[pos_++];

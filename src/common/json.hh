@@ -8,7 +8,7 @@
  * writer either builds a Json tree (result exports, wire documents) or,
  * on the streaming hot paths (trace sink, wgmetrics jsonl lines, stream
  * frames, event log), emits fixed keys by hand and escapes every
- * caller-supplied string through jsonEscape.
+ * caller-supplied string through appendJsonEscaped.
  *
  * Determinism contract: numbers remember their source lexeme, so
  * parse -> serialize reproduces the input bytes for any number the
@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,12 @@ class Json
 
     friend class JsonParser;
 };
+
+/**
+ * Append @p s to @p out escaped for a JSON string literal, in place:
+ * no temporary, and one bulk append when nothing needs escaping.
+ */
+void appendJsonEscaped(std::string& out, std::string_view s);
 
 /** Escape @p s for embedding in a JSON string literal. */
 std::string jsonEscape(const std::string& s);

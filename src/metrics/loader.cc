@@ -40,6 +40,19 @@ fromPromName(const std::string& name)
     return out;
 }
 
+/**
+ * Read all of @p text as one strtod number. @return false when it is
+ * empty or anything follows the number, so `abc` or `1.5abc` never
+ * reads as 0 or 1.5.
+ */
+bool
+parseValue(const char* text, double& v)
+{
+    char* end = nullptr;
+    v = std::strtod(text, &end);
+    return end != text && *end == '\0';
+}
+
 bool
 parseProm(const std::string& content, StatSet& out, std::string& error)
 {
@@ -53,9 +66,8 @@ parseProm(const std::string& content, StatSet& out, std::string& error)
             error = "malformed exposition line: " + line;
             return false;
         }
-        char* end = nullptr;
-        double v = std::strtod(line.c_str() + space + 1, &end);
-        if (end == line.c_str() + space + 1) {
+        double v = 0.0;
+        if (!parseValue(line.c_str() + space + 1, v)) {
             error = "bad sample value: " + line;
             return false;
         }
@@ -86,8 +98,12 @@ parseFinalCsv(const std::string& content, StatSet& out,
             error = "malformed final-section line: " + line;
             return false;
         }
-        out.set(line.substr(0, comma),
-                std::strtod(line.c_str() + comma + 1, nullptr));
+        double v = 0.0;
+        if (!parseValue(line.c_str() + comma + 1, v)) {
+            error = "bad final-section value: " + line;
+            return false;
+        }
+        out.set(line.substr(0, comma), v);
     }
     if (!seen_final) {
         error = "no '# final' section in metrics CSV";

@@ -83,7 +83,9 @@ class WarpSet
 
     /**
      * Bind one warp per program and reset all state. Every warp starts
-     * Waiting with an empty i-buffer.
+     * Waiting with an empty i-buffer. Each warp keeps a raw pointer to
+     * its program's instructions, so @p programs (or a copy sharing
+     * their storage) must outlive this set.
      * @param programs one program per warp (size <= kMaxWarpsPerSm)
      * @param depth decoded i-buffer entries per warp (>= 1)
      */
@@ -92,7 +94,7 @@ class WarpSet
     {
         n_ = programs.size();
         depth_ = depth;
-        progs_.resize(n_);
+        progBase_.resize(n_);
         progSize_.resize(n_);
         ibuf_.assign(n_ * depth_, Instruction{});
         head_.assign(n_, 0);
@@ -107,7 +109,7 @@ class WarpSet
         fetchable_ = 0;
         drained_ = 0;
         for (std::size_t w = 0; w < n_; ++w) {
-            progs_[w] = &programs[w];
+            progBase_[w] = programs[w].instructions().data();
             progSize_[w] =
                 static_cast<std::uint32_t>(programs[w].size());
             locMask_[static_cast<std::size_t>(WarpLoc::Waiting)] |=
@@ -218,7 +220,7 @@ class WarpSet
             std::size_t slot = head_[w] + size_[w];
             if (slot >= depth_)
                 slot -= depth_;
-            const Instruction& instr = progs_[w]->at(pc_[w]++);
+            const Instruction& instr = progBase_[w][pc_[w]++];
             ibuf_[w * depth_ + slot] = instr;
             ++bufCls_[w * kNumUnitClasses +
                       static_cast<std::size_t>(instr.unit)];
@@ -271,6 +273,9 @@ class WarpSet
     /** Fetched-instruction progress (for tests). */
     std::size_t pc(WarpId w) const { return pc_[w]; }
 
+    /** Start of the program storage @p w fetches from (for tests). */
+    const Instruction* programData(WarpId w) const { return progBase_[w]; }
+
     // --- checkpoint/resume ---
 
     /** Capture warp @p w's slot state for a checkpoint. */
@@ -317,7 +322,7 @@ class WarpSet
                 bufCls_[w * kNumUnitClasses + c] = 0;
             for (std::size_t i = 0; i < s.bufSize; ++i) {
                 const Instruction& instr =
-                    progs_[w]->at(s.pc - s.bufSize + i);
+                    progBase_[w][s.pc - s.bufSize + i];
                 ibuf_[w * depth_ + i] = instr;
                 ++bufCls_[w * kNumUnitClasses +
                           static_cast<std::size_t>(instr.unit)];
@@ -355,7 +360,7 @@ class WarpSet
     std::size_t n_ = 0;
     std::size_t depth_ = 0;
 
-    std::vector<const Program*> progs_;
+    std::vector<const Instruction*> progBase_; ///< shared program storage
     std::vector<std::uint32_t> progSize_;
 
     // i-buffer: one depth_-slot ring per warp, flat.

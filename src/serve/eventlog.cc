@@ -104,13 +104,13 @@ EventLog::log(Level level, const std::string& event,
     line += ",\"level\":\"";
     line += levelName(level);
     line += "\",\"event\":\"";
-    line += jsonEscape(event);
+    appendJsonEscaped(line, event);
     line += '"';
     for (const auto& [key, value] : fields) {
         line += ",\"";
         line += key;
         line += "\":\"";
-        line += jsonEscape(value);
+        appendJsonEscaped(line, value);
         line += '"';
     }
     line += "}\n";

@@ -17,7 +17,7 @@ framePrefix(const char* kind, const std::string& id)
     out += ",\"type\":\"frame\",\"frame\":\"";
     out += kind;
     out += "\",\"id\":\"";
-    out += jsonEscape(id);
+    appendJsonEscaped(out, id);
     out += '"';
     return out;
 }
@@ -33,9 +33,9 @@ metaFrame(const std::string& id, std::size_t cell,
     out += ",\"cell\":";
     out += std::to_string(cell);
     out += ",\"bench\":\"";
-    out += jsonEscape(bench);
+    appendJsonEscaped(out, bench);
     out += "\",\"technique\":\"";
-    out += jsonEscape(technique);
+    appendJsonEscaped(out, technique);
     out += "\",\"data\":";
     out += metrics::jsonlMetaLine(series != nullptr,
                                   series ? series->epochLength : 0,
@@ -97,7 +97,7 @@ resultFrame(const std::string& id, const char* state,
     out += '"';
     if (!error.empty()) {
         out += ",\"error\":\"";
-        out += jsonEscape(error);
+        appendJsonEscaped(out, error);
         out += '"';
     }
     out += ",\"droppedFrames\":";

@@ -117,8 +117,12 @@ class SimSession
                trace::Collector* collector,
                metrics::Collector* metrics);
 
-    /** Prepare collectors and construct the per-SM simulators. */
-    void buildSms(const std::vector<std::vector<Program>>& per_sm);
+    /**
+     * Prepare collectors and construct the per-SM simulators. Each SM
+     * takes its program handles, so instructions are shared, not
+     * copied.
+     */
+    void buildSms(std::vector<std::vector<Program>> per_sm);
 
     /** Run fn(s) for every SM, pooled when a pool is attached. */
     template <typename Fn>

@@ -68,7 +68,8 @@ class Sm
     /**
      * @param config microarchitecture configuration
      * @param programs one program per resident warp (at most
-     *        kMaxWarpsPerSm — the warp bitmasks are one 64-bit word)
+     *        kMaxWarpsPerSm — the warp bitmasks are one 64-bit word);
+     *        the handles are kept, so warps share their storage
      * @param seed per-SM seed (memory-latency stream)
      * @param trace event recorder, or null for tracing off (the
      *        disabled path is a single branch per would-be event)
@@ -209,7 +210,7 @@ class Sm
     metrics::EpochCounters sampleCounters() const;
 
     SmConfig config_;
-    std::vector<Program> programs_;
+    std::vector<Program> programs_; ///< keeps warps_' storage alive
     WarpSet warps_;
     Scoreboard scoreboard_;
     std::unique_ptr<Scheduler> scheduler_;

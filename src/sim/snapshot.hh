@@ -15,7 +15,8 @@
  *   - fast-forward span diagnostics (ffSkippedCycles/ffSpans describe
  *     one process's work, not simulation state),
  *   - the workload programs themselves (regenerated from the profile
- *     and seed, which the serialized envelope pins).
+ *     and seed, which the serialized envelope pins, as one immutable
+ *     Program per CTA shared by handle among its warps).
  *
  * These are plain structs; the JSON codec lives in src/serve (the sim
  * library cannot depend on the serve layer).

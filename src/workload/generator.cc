@@ -177,7 +177,8 @@ ProgramGenerator::generateSm(const BenchmarkProfile& profile,
     programs.reserve(static_cast<std::size_t>(profile.residentWarps));
     const int cta = std::max(profile.ctaWarps, 1);
     for (int w = 0; w < profile.residentWarps; ++w) {
-        // Warps of one CTA share their instruction sequence.
+        // Warps of one CTA share their instruction sequence: the first
+        // warp generates it, the rest copy its handle.
         std::uint64_t salt = sm_salt * 1000003ULL +
                              static_cast<std::uint64_t>(w / cta);
         if (w % cta == 0)

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "workload/generator.hh"
 #include "workload/profile.hh"
 
@@ -78,6 +81,63 @@ TEST(Generator, CtaWarpsSharePrograms)
     EXPECT_TRUE(sameProgram(programs[16], programs[31]));
     EXPECT_FALSE(sameProgram(programs[0], programs[16]))
         << "different CTAs run different generated sequences";
+}
+
+TEST(Generator, CtaWarpsShareStorage)
+{
+    ProgramGenerator gen(11);
+    BenchmarkProfile p = findBenchmark("hotspot");
+    p.residentWarps = 48;
+    p.ctaWarps = 16;
+    auto programs = gen.generateSm(p, 0);
+    ASSERT_EQ(programs.size(), 48u);
+    for (std::size_t w = 0; w < programs.size(); ++w)
+        EXPECT_EQ(programs[w].instructions().data(),
+                  programs[w - w % 16].instructions().data())
+            << "warp " << w << " does not share its CTA's storage";
+    EXPECT_NE(programs[0].instructions().data(),
+              programs[16].instructions().data());
+}
+
+TEST(Generator, OneStoragePerCta)
+{
+    ProgramGenerator gen(1);
+    for (const BenchmarkProfile& p : benchmarkSuite()) {
+        std::set<const Instruction*> storages;
+        for (const Program& prog : gen.generateSm(p, 0))
+            storages.insert(prog.instructions().data());
+        const int cta = std::max(p.ctaWarps, 1);
+        const auto ctas =
+            static_cast<std::size_t>((p.residentWarps + cta - 1) / cta);
+        EXPECT_EQ(storages.size(), ctas) << p.name;
+    }
+}
+
+TEST(Generator, HotspotSm0ContentIsPinned)
+{
+    // FNV-1a over every field of every warp's instructions, hotspot,
+    // seed 1, SM 0. Pinned from the generator before programs became
+    // shared handles: sharing must not change a single instruction.
+    ProgramGenerator gen(1);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](unsigned v) {
+        h ^= v;
+        h *= 0x100000001b3ULL;
+    };
+    const auto programs = gen.generateSm(findBenchmark("hotspot"), 0);
+    for (const Program& prog : programs) {
+        mix(static_cast<unsigned>(prog.size()));
+        for (const Instruction& i : prog.instructions()) {
+            mix(static_cast<unsigned>(i.unit));
+            mix(static_cast<unsigned>(i.mem));
+            mix(i.dest);
+            mix(i.srcs[0]);
+            mix(i.srcs[1]);
+            mix(i.isStore ? 1u : 0u);
+        }
+    }
+    EXPECT_EQ(programs.size(), 48u);
+    EXPECT_EQ(h, 0xb596ca1b66104845ULL);
 }
 
 TEST(Generator, DifferentSmsGetDifferentPrograms)

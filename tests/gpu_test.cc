@@ -125,6 +125,23 @@ TEST(Gpu, RunProgramsOverridesSmCount)
         100u);
 }
 
+TEST(Gpu, SmsSharingOneProgramPooledMatchesSerial)
+{
+    // Every SM reads the same instruction storage; under the pool the
+    // SMs fetch from it concurrently (a TSan target).
+    Gpu gpu(smallConfig(4));
+    const std::vector<Program> warps =
+        uniformMixWarps(8, 400, 0.3, 0.25, 0.5);
+    const std::vector<std::vector<Program>> per_sm(4, warps);
+    SimResult pooled = gpu.runPrograms(per_sm);
+    SimResult serial = gpu.runPrograms(per_sm, nullptr);
+    EXPECT_EQ(pooled.aggregate, serial.aggregate);
+    std::uint64_t per_warp_set = 0;
+    for (const Program& p : warps)
+        per_warp_set += p.size();
+    EXPECT_EQ(pooled.aggregate.issuedTotal, 4 * per_warp_set);
+}
+
 TEST(Gpu, DerivedMetricsInRange)
 {
     Gpu gpu(smallConfig(2));

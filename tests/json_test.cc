@@ -6,6 +6,7 @@
  */
 
 #include <cstdint>
+#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -106,6 +107,58 @@ TEST(Json, EscapeRoundTripsEveryControlByte)
     ASSERT_TRUE(Json::parse("\"" + escaped + "\"", parsed, error))
         << error;
     EXPECT_EQ(parsed.asString(), raw);
+}
+
+TEST(Json, EscapeAppendsInPlaceByteForByte)
+{
+    // appendJsonEscaped appends to what is there; every byte maps to
+    // exactly the escape a one-character-at-a-time writer emits.
+    for (int c = 0; c < 256; ++c) {
+        const std::string one(1, static_cast<char>(c));
+        std::string want;
+        switch (c) {
+          case '"': want = "\\\""; break;
+          case '\\': want = "\\\\"; break;
+          case '\n': want = "\\n"; break;
+          case '\t': want = "\\t"; break;
+          case '\r': want = "\\r"; break;
+          case '\b': want = "\\b"; break;
+          case '\f': want = "\\f"; break;
+          default:
+            if (c < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                want = buf;
+            } else {
+                want = one;
+            }
+        }
+        std::string out = "k";
+        appendJsonEscaped(out, "a" + one + "b");
+        EXPECT_EQ(out, "ka" + want + "b") << "byte " << c;
+        EXPECT_EQ(jsonEscape(one), want) << "byte " << c;
+    }
+}
+
+TEST(Json, StringLimitFailsAtTheSameOffset)
+{
+    JsonLimits limits;
+    limits.maxStringBytes = 4;
+    Json out;
+    std::string error;
+    EXPECT_TRUE(Json::parse("\"abcd\"", out, error, limits)) << error;
+    EXPECT_EQ(out.asString(), "abcd");
+    EXPECT_TRUE(Json::parse("\"ab\\nc\"", out, error, limits)) << error;
+    EXPECT_FALSE(Json::parse("\"abcde\"", out, error, limits));
+    EXPECT_EQ(error, "string exceeds size limit at offset 6");
+    EXPECT_FALSE(Json::parse("\"abcdefgh\"", out, error, limits));
+    EXPECT_EQ(error, "string exceeds size limit at offset 6");
+    EXPECT_FALSE(Json::parse("\"abc\\n\\n\"", out, error, limits));
+    EXPECT_EQ(error, "string exceeds size limit at offset 8");
+    EXPECT_FALSE(Json::parse("\"abcd", out, error, limits));
+    EXPECT_EQ(error, "unterminated string at offset 5");
+    EXPECT_FALSE(Json::parse("\"ab\x01\"", out, error, limits));
+    EXPECT_EQ(error, "unescaped control character at offset 4");
 }
 
 TEST(Json, MembersKeepInsertionOrderAndEditInPlace)

@@ -534,6 +534,26 @@ TEST(Loader, RejectsMalformedInput)
         StatSet s;
         EXPECT_FALSE(metrics::parseStatSet(bad, s, error)) << bad;
     }
+    // A wgmetrics CSV final value and a Prometheus sample value must
+    // be a whole number: empty, `abc` or `1.5abc` is an error, not 0
+    // or 1.5.
+    for (const char* bad :
+         {"# wgmetrics v1\n# final\nname,value\ngpu.ipc,abc\n",
+          "# wgmetrics v1\n# final\nname,value\ngpu.ipc,\n",
+          "# wgmetrics v1\n# final\nname,value\ngpu.ipc,2.5 x\n",
+          "wg_gpu_ipc 1.5abc\n# EOF\n", "wg_gpu_ipc \n# EOF\n"}) {
+        StatSet s;
+        EXPECT_FALSE(metrics::parseStatSet(bad, s, error)) << bad;
+    }
+    StatSet csv, prom;
+    ASSERT_TRUE(metrics::parseStatSet(
+        "# wgmetrics v1\n# final\nname,value\ngpu.ipc,1.5\n", csv, error))
+        << error;
+    ASSERT_TRUE(
+        metrics::parseStatSet("wg_gpu_ipc 1.5\n# EOF\n", prom, error))
+        << error;
+    EXPECT_EQ(csv.get("gpu.ipc"), 1.5);
+    EXPECT_EQ(prom.get("gpu.ipc"), 1.5);
 }
 
 TEST(Loader, DeepDocumentIsADepthErrorNotACrash)
@@ -564,9 +584,15 @@ TEST(Loader, WgreportExitsTwoOnUnparseableInput)
     std::ofstream(ok) << "{\"a\": 1}";
     std::ofstream(deep) << "{\"a\":" << std::string(300000, '[');
     std::ofstream(bad) << "{\"a\": nan}";
+    const std::string garbage_csv = dir + "wgreport_garbage.csv";
+    const std::string garbage_prom = dir + "wgreport_garbage.prom";
+    std::ofstream(garbage_csv) << "# wgmetrics v1\n# final\ngpu.ipc,abc\n";
+    std::ofstream(garbage_prom) << "wg_gpu_ipc 1.5abc\n# EOF\n";
     EXPECT_EQ(runWgreport(ok + " " + ok), 0);
     EXPECT_EQ(runWgreport(ok + " " + deep), 2);
     EXPECT_EQ(runWgreport(ok + " " + bad), 2);
+    EXPECT_EQ(runWgreport(garbage_csv + " " + garbage_csv), 2);
+    EXPECT_EQ(runWgreport(garbage_prom + " " + garbage_prom), 2);
     EXPECT_EQ(runWgreport(ok + " " + dir + "wgreport_missing.json"), 2);
 }
 

@@ -180,6 +180,18 @@ TEST(Sm, DeterministicAcrossRuns)
               sb.clusters[1][1].pg.wakeups);
 }
 
+TEST(Sm, CopiedProgramsShareStorage)
+{
+    const auto programs = uniformMixWarps(8, 300, 0.3, 0.25, 0.5);
+    std::vector<Program> copy = programs;
+    Sm sm(baseConfig(), copy, 7);
+    ASSERT_EQ(sm.numWarps(), programs.size());
+    for (WarpId w = 0; w < sm.numWarps(); ++w)
+        EXPECT_EQ(sm.warps().programData(w),
+                  programs[w].instructions().data())
+            << "warp " << w << " fetches from a private copy";
+}
+
 TEST(Sm, MaxCyclesStopsRunaway)
 {
     SmConfig cfg = baseConfig();
